@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- table3    Tbl. 3   BMv2 bug details
      dune exec bench/main.exe -- table4a   Tbl. 4a  large-program statistics
      dune exec bench/main.exe -- table4b   Tbl. 4b  precondition effect
-     dune exec bench/main.exe -- bechamel  micro-benchmarks (one per driver)
      dune exec bench/main.exe -- json F [N] [D..]   machine-readable results -> F
                                            (default bench.json; a bare integer N
                                            sets --path-jobs, other args filter
@@ -270,71 +269,6 @@ let table4b () =
         cov)
     rows;
   Printf.printf "(paper: 237846/0%%, 178384/25%%, 135719/43%%, 101789/57%%; all 100%% coverage)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment driver *)
-
-let bechamel () =
-  header "Bechamel micro-benchmarks (one per table/figure driver)";
-  let open Bechamel in
-  let stage f = Staged.stage f in
-  let t_fig1 =
-    Test.make ~name:"fig1c-oracle-fig1a" (stage (fun () -> ignore (generate "v1model" Progzoo.Corpus.fig1a)))
-  in
-  let t_fig1b =
-    Test.make ~name:"fig1c-oracle-fig1b-concolic"
-      (stage (fun () -> ignore (generate "v1model" Progzoo.Corpus.fig1b)))
-  in
-  let mb_src = Progzoo.Generators.middleblock ~acl_stages:1 () in
-  let t_4a =
-    Test.make ~name:"table4a-middleblock-50tests"
-      (stage (fun () ->
-           let config = { Explore.default_config with Explore.max_tests = Some 50 } in
-           ignore (generate ~config "v1model" mb_src)))
-  in
-  let t_4b =
-    Test.make ~name:"table4b-preconditions"
-      (stage (fun () ->
-           let opts =
-             { Runtime.default_options with fixed_packet_bytes = Some 1500 }
-           in
-           let config = { Explore.default_config with Explore.max_tests = Some 50 } in
-           ignore (generate ~opts ~config "v1model" mb_src)))
-  in
-  let fig1a_tests =
-    (generate "v1model" Progzoo.Corpus.fig1a).Oracle.result.Explore.tests
-  in
-  let sim = Sim.Harness.prepare ~arch:"v1model" Progzoo.Corpus.fig1a in
-  let t_2 =
-    Test.make ~name:"table2-sim-executes-suite"
-      (stage (fun () -> ignore (Sim.Harness.run_suite sim fig1a_tests)))
-  in
-  let t_7 =
-    Test.make ~name:"fig7-solver-query"
-      (stage (fun () ->
-           let ectx = Smt.Expr.create_ctx () in
-           let s = Smt.Solver.create ectx in
-           let x = Smt.Expr.fresh_var ectx "bench_x" 32 in
-           Smt.Solver.assert_ s
-             (Smt.Expr.eq
-                (Smt.Expr.mul x (Smt.Expr.of_int ectx ~width:32 3))
-                (Smt.Expr.of_int ectx ~width:32 123));
-           ignore (Smt.Solver.check s)))
-  in
-  let grouped =
-    Test.make_grouped ~name:"p4testgen" [ t_fig1; t_fig1b; t_4a; t_4b; t_2; t_7 ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ ns ] -> Printf.printf "%-40s %12.1f us/run\n" name (ns /. 1000.0)
-      | _ -> Printf.printf "%-40s (no estimate)\n" name)
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide batch generation across domains *)
@@ -1187,8 +1121,7 @@ let all () =
   table3 ();
   table4a ();
   table4b ();
-  fig7 ();
-  bechamel ()
+  fig7 ()
 
 let () =
   match if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None with
@@ -1200,7 +1133,6 @@ let () =
   | Some "table3" -> table3 ()
   | Some "table4a" -> table4a ()
   | Some "table4b" -> table4b ()
-  | Some "bechamel" -> bechamel ()
   | Some "batch" ->
       let jobs =
         if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 1
@@ -1274,7 +1206,7 @@ let () =
       serve_bench out
   | Some other ->
       Printf.eprintf
-        "unknown experiment %s (fig1, tables, fig7, table2, table3, table4a, table4b, bechamel, \
+        "unknown experiment %s (fig1, tables, fig7, table2, table3, table4a, table4b, \
          batch [jobs], json [out.json] [path-jobs] [drivers...], compare baseline.json \
          [current.json] [--noise-ms N], scaling [driver] [out.json], gate [scaling.json], \
          serve [out.json], qcache [out.json], corpus [out.json] [cases])\n"

@@ -222,43 +222,6 @@ let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging"
 (* solver tuning knobs, folded into the exploration config as a
    transformer so both subcommands share them *)
 let solver_knobs =
-  let no_phase_saving =
-    Arg.(
-      value & flag
-      & info [ "no-phase-saving" ]
-          ~doc:"SAT: do not reuse the last assigned polarity when branching")
-  in
-  let no_target_phase =
-    Arg.(
-      value & flag
-      & info [ "no-target-phase" ]
-          ~doc:"SAT: do not replay the last model's polarities in later solves")
-  in
-  let no_reduce_db =
-    Arg.(
-      value & flag
-      & info [ "no-reduce-db" ] ~doc:"SAT: never delete learnt clauses (keep them all)")
-  in
-  let no_minimise =
-    Arg.(
-      value & flag
-      & info [ "no-minimise" ]
-          ~doc:"SAT: skip recursive self-subsumption minimisation of learnt clauses")
-  in
-  let no_rewrite =
-    Arg.(
-      value & flag
-      & info [ "no-rewrite" ]
-          ~doc:"Skip the word-level rewrite pass applied to terms before bit-blasting")
-  in
-  let rebuild_threshold =
-    Arg.(
-      value & opt (some int) None
-      & info [ "rebuild-threshold" ] ~docv:"VARS"
-          ~doc:
-            "Rebuild the incremental solver once it holds more than $(docv) SAT \
-             variables (dead circuits from popped scopes dominate past this point)")
-  in
   let no_query_cache =
     Arg.(
       value & flag
@@ -276,30 +239,15 @@ let solver_knobs =
             "Capacity of each query-cache digest-set ring (default 512); \
              bounds the memory the cache may hold")
   in
-  let apply nps ntp nrdb nmin nrw rth nqc qslots config =
-    let sat_options =
-      {
-        Smt.Sat.default_options with
-        Smt.Sat.o_phase_saving = not nps;
-        o_target_phase = not ntp;
-        o_reduce_db = not nrdb;
-        o_minimise = not nmin;
-      }
-    in
+  let apply nqc qslots config =
     {
       config with
-      Testgen.Explore.sat_options;
-      word_rewrite = not nrw;
-      rebuild_size_threshold =
-        Option.value rth ~default:config.Testgen.Explore.rebuild_size_threshold;
-      query_cache = not nqc;
+      Testgen.Explore.query_cache = not nqc;
       qcache_slots =
         Option.value qslots ~default:config.Testgen.Explore.qcache_slots;
     }
   in
-  Term.(
-    const apply $ no_phase_saving $ no_target_phase $ no_reduce_db $ no_minimise
-    $ no_rewrite $ rebuild_threshold $ no_query_cache $ qcache_slots)
+  Term.(const apply $ no_query_cache $ qcache_slots)
 
 (* intra-program parallelism knobs, same transformer pattern *)
 let parallel_knobs =

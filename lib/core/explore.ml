@@ -58,14 +58,6 @@ type config = {
       (** SAT variables a solver may accumulate before it is eligible
           for a rebuild (dead variables from popped scopes dominate
           past this point) *)
-  rebuild_max_spine : int;
-      (** rebuild only when the DFS spine is at most this deep, so the
-          fresh solver re-asserts few scopes *)
-  sat_options : Smt.Sat.options;
-      (** CDCL tuning (phase saving, target phases, learnt-database
-          reduction, clause minimisation) for every solver of the run *)
-  word_rewrite : bool;
-      (** run {!Smt.Expr.simplify} on asserted terms before blasting *)
   path_jobs : int;
       (** 0 = classic sequential DFS; N >= 1 = frontier-split driver
           with N worker domains (capped by the shared domain pool and
@@ -119,9 +111,6 @@ let default_config =
     strategy = Dfs;
     stop_at_full_coverage = false;
     rebuild_size_threshold = 4000;
-    rebuild_max_spine = 8;
-    sat_options = Smt.Sat.default_options;
-    word_rewrite = true;
     path_jobs = 0;
     split_tasks = 32;
     snapshot_max_bytes = 32_000_000;
@@ -137,16 +126,16 @@ let default_config =
    façade computed from a registry snapshot so existing consumers
    (CLI summary lines, the bench tables) keep working. *)
 type stats = {
-  mutable paths : int;  (** completed feasible paths *)
-  mutable tests : int;
-  mutable infeasible : int;  (** branches pruned by the solver *)
-  mutable abandoned : int;  (** paths cut by unrolling/recirc bounds *)
-  mutable discarded_taint : int;  (** tests dropped for tainted ports *)
-  mutable discarded_concolic : int;
-  mutable t_step : float;  (** interpretation time *)
-  mutable t_emit : float;  (** test-construction time (includes its solver calls) *)
-  mutable t_emit_solve : float;  (** solver time spent inside test construction *)
-  mutable solver_checks : int;
+  paths : int;  (** completed feasible paths *)
+  tests : int;
+  infeasible : int;  (** branches pruned by the solver *)
+  abandoned : int;  (** paths cut by unrolling/recirc bounds *)
+  discarded_taint : int;  (** tests dropped for tainted ports *)
+  discarded_concolic : int;
+  t_step : float;  (** interpretation time *)
+  t_emit : float;  (** test-construction time (includes its solver calls) *)
+  t_emit_solve : float;  (** solver time spent inside test construction *)
+  solver_checks : int;
       (** all solver checks of the run — branch feasibility plus the
           ones issued during test construction *)
 }
@@ -166,20 +155,6 @@ type result = {
           counts) for trace export; empty for the sequential driver *)
 }
 
-let empty_stats () =
-  {
-    paths = 0;
-    tests = 0;
-    infeasible = 0;
-    abandoned = 0;
-    discarded_taint = 0;
-    discarded_concolic = 0;
-    t_step = 0.0;
-    t_emit = 0.0;
-    t_emit_solve = 0.0;
-    solver_checks = 0;
-  }
-
 (* the façade: project a (delta) snapshot of the run's registry onto
    the historical stats record *)
 let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
@@ -196,20 +171,6 @@ let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
     t_emit_solve = f "explore.t_emit_solve";
     solver_checks = i "solver.checks";
   }
-
-(* accumulate [s] into [acc] (kept for callers that merge stats
-   records directly; the batch driver merges registry snapshots) *)
-let add_stats acc (s : stats) =
-  acc.paths <- acc.paths + s.paths;
-  acc.tests <- acc.tests + s.tests;
-  acc.infeasible <- acc.infeasible + s.infeasible;
-  acc.abandoned <- acc.abandoned + s.abandoned;
-  acc.discarded_taint <- acc.discarded_taint + s.discarded_taint;
-  acc.discarded_concolic <- acc.discarded_concolic + s.discarded_concolic;
-  acc.t_step <- acc.t_step +. s.t_step;
-  acc.t_emit <- acc.t_emit +. s.t_emit;
-  acc.t_emit_solve <- acc.t_emit_solve +. s.t_emit_solve;
-  acc.solver_checks <- acc.solver_checks + s.solver_checks
 
 (* ------------------------------------------------------------------ *)
 (* Coverage export hook (corpus admission, ROADMAP item 3).
@@ -475,11 +436,8 @@ type engine = {
   e_extra_check : unit -> unit;  (* frontier: global-cut abort hook *)
 }
 
-let new_solver (ctx : ctx) (cfg : config) base =
-  let s =
-    Solver.create ~obs:ctx.obs ~sat_options:cfg.sat_options
-      ~simplify:cfg.word_rewrite ctx.ectx
-  in
+let new_solver (ctx : ctx) base =
+  let s = Solver.create ~obs:ctx.obs ctx.ectx in
   List.iter (Solver.assert_ s) base;
   s
 
@@ -510,9 +468,9 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
     e_cfg = cfg;
     e_cells = cells;
     e_solver =
-      ref (match solver with Some s -> s | None -> new_solver ctx cfg base);
+      ref (match solver with Some s -> s | None -> new_solver ctx base);
     e_probe =
-      ref (match probe with Some s -> s | None -> new_solver ctx cfg base);
+      ref (match probe with Some s -> s | None -> new_solver ctx base);
     e_qc;
     e_spine = ref [];
     e_base = base;
@@ -524,19 +482,23 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
     e_extra_check = extra_check;
   }
 
+(* a rebuild happens only when the DFS spine is at most this deep, so
+   the fresh solver re-asserts few scopes *)
+let rebuild_max_spine = 8
+
 (* both solvers are eligible at the same spine depths (each one's
    scope stack mirrors the spine whenever this runs), but each
    rebuilds on its own size: the probe blasts every candidate branch
    and outgrows the emission solver *)
 let maybe_rebuild eng =
-  if List.length !(eng.e_spine) <= eng.e_cfg.rebuild_max_spine then begin
+  if List.length !(eng.e_spine) <= rebuild_max_spine then begin
     let rebuild_one sref =
       if Solver.size !sref > eng.e_cfg.rebuild_size_threshold then begin
         (* retire the old solver: push its residual counter activity
            into the registry before it becomes unreachable *)
         Solver.flush_stats !sref;
         Obs.Counter.incr eng.e_cells.c_rebuilds;
-        let s = new_solver eng.e_ctx eng.e_cfg eng.e_base in
+        let s = new_solver eng.e_ctx eng.e_base in
         List.iter
           (fun c ->
             Solver.push s;

@@ -41,11 +41,8 @@ and ctx = {
   mutable fresh_counter : int;
   mutable next_taint : int;
   taint_memo : (int, Bits.t) Hashtbl.t;  (** term tag -> taint mask *)
-  simp_memo : (int, t) Hashtbl.t;  (** term tag -> simplified form *)
-  known_memo : (int, Bits.t * Bits.t) Hashtbl.t;  (** term tag -> known bits *)
   support_memo : (int, int array) Hashtbl.t;  (** term tag -> symbol support *)
   digest_memo : (int, string) Hashtbl.t;  (** term tag -> structural digest *)
-  mutable rewrite_hits : int;  (** terms changed by {!simplify} *)
 }
 
 let ctx_counter = Atomic.make 0
@@ -60,11 +57,8 @@ let create_ctx () =
     fresh_counter = 0;
     next_taint = 0;
     taint_memo = Hashtbl.create 1024;
-    simp_memo = Hashtbl.create 4096;
-    known_memo = Hashtbl.create 4096;
     support_memo = Hashtbl.create 4096;
     digest_memo = Hashtbl.create 1024;
-    rewrite_hits = 0;
   }
 
 let ctx_of e = e.ctx
@@ -223,11 +217,8 @@ let clone_ctx parent =
     fresh_counter = parent.fresh_counter;
     next_taint = parent.next_taint;
     taint_memo = Hashtbl.create 1024;
-    simp_memo = Hashtbl.create 4096;
-    known_memo = Hashtbl.create 4096;
     support_memo = Hashtbl.create 4096;
     digest_memo = Hashtbl.create 1024;
-    rewrite_hits = 0;
   }
 
 (* intern preserving an existing identity (tag/width/taint) instead of
@@ -776,221 +767,6 @@ let subst f e =
     | Ashr (a, b) -> ashr (go a) (go b)
   in
   go e
-
-(* ------------------------------------------------------------------ *)
-(* Word-level simplification.
-
-   Applied at assert time, before bit-blasting: terms the rewrite
-   discharges never reach the CNF layer.  Two cooperating analyses:
-
-   - [known_bits e] computes per-bit constantness (mask, value): bit i
-     of [e] equals bit i of [value] whenever bit i of [mask] is set,
-     for every assignment of variables and taints.
-   - [simplify e] rebuilds the term bottom-up through the smart
-     constructors (re-running constant folding and the structural
-     rules on simplified children) and applies known-bits rules the
-     constructors cannot see: fully-determined terms collapse to
-     constants, comparisons between terms with disjoint value ranges
-     collapse to booleans, and nested [Ite]s sharing a hash-consed
-     condition drop their dead arm.
-
-   Both are memoised in the context, so the incremental explorer pays
-   for each distinct subterm once. *)
-
-let all_known m = Bits.is_ones m
-
-(* contiguous known LSBs of (mask), as a count *)
-let known_lsbs m =
-  let w = Bits.width m in
-  let rec go i = if i < w && Bits.get m i then go (i + 1) else i in
-  go 0
-
-let rec known_bits e =
-  match e.node with
-  | Const b -> (Bits.ones e.width, b)
-  | Var _ | Taint _ -> (Bits.zero e.width, Bits.zero e.width)
-  | _ -> (
-      match Hashtbl.find_opt e.ctx.known_memo e.tag with
-      | Some k -> k
-      | None ->
-          let k = compute_known e in
-          Hashtbl.add e.ctx.known_memo e.tag k;
-          k)
-
-and compute_known e =
-  let nothing = (Bits.zero e.width, Bits.zero e.width) in
-  match e.node with
-  | Const b -> (Bits.ones e.width, b)
-  | Var _ | Taint _ -> nothing
-  | Not a ->
-      let m, v = known_bits a in
-      (m, Bits.logand m (Bits.lognot v))
-  | And (a, b) ->
-      let ma, va = known_bits a and mb, vb = known_bits b in
-      (* known 0 where either side is known 0; known 1 where both are *)
-      let zeros =
-        Bits.logor
-          (Bits.logand ma (Bits.lognot va))
-          (Bits.logand mb (Bits.lognot vb))
-      in
-      let ones = Bits.logand (Bits.logand ma va) (Bits.logand mb vb) in
-      (Bits.logor zeros ones, ones)
-  | Or (a, b) ->
-      let ma, va = known_bits a and mb, vb = known_bits b in
-      let ones = Bits.logor (Bits.logand ma va) (Bits.logand mb vb) in
-      let zeros =
-        Bits.logand
-          (Bits.logand ma (Bits.lognot va))
-          (Bits.logand mb (Bits.lognot vb))
-      in
-      (Bits.logor zeros ones, ones)
-  | Xor (a, b) ->
-      let ma, va = known_bits a and mb, vb = known_bits b in
-      let m = Bits.logand ma mb in
-      (m, Bits.logand m (Bits.logxor va vb))
-  | Add (a, b) | Sub (a, b) ->
-      (* carries flow upward: the result is known below the lowest
-         unknown bit of either operand *)
-      let ma, va = known_bits a and mb, vb = known_bits b in
-      let k = min (known_lsbs ma) (known_lsbs mb) in
-      if k = 0 then nothing
-      else
-        let sum =
-          match e.node with
-          | Add _ -> Bits.add va vb
-          | _ -> Bits.sub va vb
-        in
-        let m = Bits.concat (Bits.zero (e.width - k)) (Bits.ones k) in
-        (m, Bits.logand m sum)
-  | Mul _ | Udiv _ | Urem _ -> nothing
-  | Concat (h, l) ->
-      let mh, vh = known_bits h and ml, vl = known_bits l in
-      (Bits.concat mh ml, Bits.concat vh vl)
-  | Slice (a, hi, lo) ->
-      let m, v = known_bits a in
-      (Bits.slice m ~hi ~lo, Bits.slice v ~hi ~lo)
-  | Eq (a, b) ->
-      (* disagreement on a commonly-known bit decides the comparison *)
-      let ma, va = known_bits a and mb, vb = known_bits b in
-      let m = Bits.logand ma mb in
-      if not (Bits.is_zero (Bits.logand m (Bits.logxor va vb))) then
-        (Bits.ones 1, Bits.zero 1)
-      else nothing
-  | Ult (a, b) -> (
-      match ult_by_range (known_bits a) (known_bits b) with
-      | Some r -> (Bits.ones 1, if r then Bits.ones 1 else Bits.zero 1)
-      | None -> nothing)
-  | Slt _ -> nothing
-  | Ite (_, t, f) ->
-      let mt, vt = known_bits t and mf, vf = known_bits f in
-      (* known where both arms are known and agree *)
-      let m =
-        Bits.logand (Bits.logand mt mf) (Bits.lognot (Bits.logxor vt vf))
-      in
-      (m, Bits.logand m vt)
-  | Shl (a, b) | Lshr (a, b) | Ashr (a, b) -> (
-      match b.node with
-      | Const k -> (
-          match Bits.to_int_checked k with
-          | Some k when k <= e.width ->
-              let m, v = known_bits a in
-              let w = e.width in
-              (* vacated positions are filled with a known constant,
-                 so they join the known mask *)
-              let low_ones = Bits.zext (Bits.ones (min k w)) w in
-              let high_ones = Bits.shift_left low_ones (w - min k w) in
-              (match e.node with
-              | Shl _ ->
-                  (Bits.logor (Bits.shift_left m k) low_ones, Bits.shift_left v k)
-              | Lshr _ ->
-                  (Bits.logor (Bits.shift_right m k) high_ones, Bits.shift_right v k)
-              | _ ->
-                  (* arithmetic shift: the fill copies the sign bit,
-                     known only when the sign bit is known *)
-                  if w > 0 && Bits.get m (w - 1) then
-                    ( Bits.logor (Bits.shift_right m k) high_ones,
-                      Bits.shift_right_arith (Bits.logand m v) k )
-                  else
-                    ( Bits.shift_right m k,
-                      Bits.logand (Bits.shift_right m k) (Bits.shift_right v k) ))
-          | _ -> nothing)
-      | _ -> nothing)
-
-(* unsigned range [lo, hi] of a term from its known bits: unknown bits
-   range freely *)
-and ult_by_range (ma, va) (mb, vb) =
-  let lo m v = Bits.logand m v in
-  let hi m v = Bits.logor (Bits.lognot m) (Bits.logand m v) in
-  if Bits.ult (hi ma va) (lo mb vb) then Some true
-  else if not (Bits.ult (lo ma va) (hi mb vb)) then Some false
-  else None
-
-let simplify e0 =
-  let ctx = e0.ctx in
-  let hit old knew = if knew != old then ctx.rewrite_hits <- ctx.rewrite_hits + 1 in
-  let rec go e =
-    match e.node with
-    | Const _ | Var _ | Taint _ -> e
-    | _ -> (
-        match Hashtbl.find_opt ctx.simp_memo e.tag with
-        | Some r -> r
-        | None ->
-            let r = post (rebuild e) in
-            hit e r;
-            Hashtbl.add ctx.simp_memo e.tag r;
-            (* a simplified term is its own normal form *)
-            if r != e && not (Hashtbl.mem ctx.simp_memo r.tag) then
-              Hashtbl.add ctx.simp_memo r.tag r;
-            r)
-  (* bottom-up: the smart constructors re-run constant folding and the
-     structural rules over the simplified children *)
-  and rebuild e =
-    match e.node with
-    | Const _ | Var _ | Taint _ -> e
-    | Not a -> lognot (go a)
-    | And (a, b) -> logand (go a) (go b)
-    | Or (a, b) -> logor (go a) (go b)
-    | Xor (a, b) -> logxor (go a) (go b)
-    | Add (a, b) -> add (go a) (go b)
-    | Sub (a, b) -> sub (go a) (go b)
-    | Mul (a, b) -> mul (go a) (go b)
-    | Udiv (a, b) -> udiv (go a) (go b)
-    | Urem (a, b) -> urem (go a) (go b)
-    | Concat (h, l) -> concat (go h) (go l)
-    | Slice (a, hi, lo) -> slice (go a) ~hi ~lo
-    | Eq (a, b) -> eq_simp (go a) (go b)
-    | Ult (a, b) -> ult (go a) (go b)
-    | Slt (a, b) -> slt (go a) (go b)
-    | Ite (c, t, f) -> ite_simp (go c) (go t) (go f)
-    | Shl (a, b) -> shl (go a) (go b)
-    | Lshr (a, b) -> lshr (go a) (go b)
-    | Ashr (a, b) -> ashr (go a) (go b)
-  (* equality over aligned concats splits into narrower equalities,
-     exposing per-field constant folding *)
-  and eq_simp a b =
-    match (a.node, b.node) with
-    | Concat (h1, l1), Concat (h2, l2) when l1.width = l2.width ->
-        band (eq_simp h1 h2) (eq_simp l1 l2)
-    | _ -> eq a b
-  (* nested selections on the same hash-consed condition take the
-     outer branch's arm; conditions are compared physically *)
-  and ite_simp c t f =
-    let t = match t.node with Ite (c', t', _) when c' == c -> t' | _ -> t in
-    let f = match f.node with Ite (c', _, f') when c' == c -> f' | _ -> f in
-    match c.node with
-    | Not c' -> ite c' f t
-    | _ -> ite c t f
-  (* known-bits post-pass on the rebuilt node *)
-  and post e =
-    match e.node with
-    | Const _ | Var _ | Taint _ -> e
-    | _ ->
-        let m, v = known_bits e in
-        if all_known m then const ctx v else e
-  in
-  go e0
-
-let rewrite_hits ctx = ctx.rewrite_hits
 
 let rec pp ppf e =
   let open Format in

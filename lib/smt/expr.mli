@@ -18,8 +18,8 @@
 
 type ctx
 (** A hash-consing arena plus variable registry, taint-id supply, and
-    simplifier memo tables.  Cheap to create; dropped wholesale by the
-    GC when the last term referencing it dies. *)
+    per-term analysis memo tables.  Cheap to create; dropped wholesale
+    by the GC when the last term referencing it dies. *)
 
 type var = private { vname : string; vwidth : int; vid : int }
 
@@ -184,27 +184,6 @@ val subst : (var -> t option) -> t -> t
 
 val size : t -> int
 (** Number of distinct subterms (DAG size). *)
-
-(** {1 Word-level simplification} *)
-
-val simplify : t -> t
-(** Word-level rewrite/normalisation, memoised in the term's context.
-    Rebuilds the term bottom-up through the smart constructors
-    (constant folding through concat/extract chains, [x = x] and
-    nested-[Ite] elimination) and applies a known-bits analysis:
-    fully-determined subterms collapse to constants and comparisons
-    whose operands have disjoint unsigned ranges collapse to booleans.
-    The result is equivalent for every assignment of variables and
-    taints.  Applied by the solver at assert time so discharged terms
-    never reach the CNF layer. *)
-
-val known_bits : t -> Bitv.Bits.t * Bitv.Bits.t
-(** [(mask, value)]: bit [i] of the term equals bit [i] of [value]
-    whenever bit [i] of [mask] is set, under every assignment. *)
-
-val rewrite_hits : ctx -> int
-(** Terms changed by {!simplify} in this context so far (monotone;
-    surfaced as the [rewrite.hits] metric). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -24,23 +24,6 @@ type clause = {
   mutable lbd : int; (* glue at learning time; 0 for problem clauses *)
 }
 
-type options = {
-  o_phase_saving : bool;  (** save assigned polarities on backtrack *)
-  o_target_phase : bool;  (** replay the last model as preferred phases *)
-  o_reduce_db : bool;  (** periodically halve the learnt database *)
-  o_minimise : bool;  (** recursive self-subsumption on 1UIP clauses *)
-  o_reduce_init : int;  (** learnt clauses tolerated before the first reduction *)
-}
-
-let default_options =
-  {
-    o_phase_saving = true;
-    o_target_phase = true;
-    o_reduce_db = true;
-    o_minimise = true;
-    o_reduce_init = 4000;
-  }
-
 (* Growable array *)
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
@@ -93,7 +76,6 @@ type t = {
   mutable nvars : int;
   mutable ok : bool;
   mutable clause_count : int;
-  opts : options;
   (* per-literal watch lists: long clauses and a binary layer *)
   mutable watches : Wl.t array;
   mutable bin_watches : Wl.t array;
@@ -149,12 +131,11 @@ type counters = {
   c_minimised_literals : int;
 }
 
-let create ?(options = default_options) () =
+let create ?(reduce_init = 4000) () =
   {
     nvars = 0;
     ok = true;
     clause_count = 0;
-    opts = options;
     watches = Array.init 2 (fun _ -> Wl.create ());
     bin_watches = Array.init 2 (fun _ -> Wl.create ());
     assign = Array.make 1 0;
@@ -171,7 +152,7 @@ let create ?(options = default_options) () =
     qhead = 0;
     constrained = Array.make 1 false;
     learnts = Vec.create dummy_clause;
-    reduce_limit = options.o_reduce_init;
+    reduce_limit = reduce_init;
     lbd_stamp = Array.make 1 0;
     lbd_stamp_n = 0;
     decisions = 0;
@@ -343,12 +324,11 @@ let mark_constrained s v =
 let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Vec.get s.trail_lim lvl in
-    let save = s.opts.o_phase_saving in
     for i = Vec.len s.trail - 1 downto bound do
       let l = Vec.get s.trail i in
       let v = var_of l in
       s.assign.(v) <- 0;
-      if save then s.polarity.(v) <- not (sign l);
+      s.polarity.(v) <- not (sign l);
       s.reason.(v) <- None;
       heap_insert s v
     done;
@@ -621,7 +601,7 @@ let analyze s confl =
   done;
   let tail0 = !learnt in
   let tail =
-    if s.opts.o_minimise && tail0 <> [] then begin
+    if tail0 <> [] then begin
       let tail, removed = minimise s tail0 in
       s.minimised_literals <- s.minimised_literals + removed;
       tail
@@ -680,37 +660,35 @@ let locked s c =
 (* periodically halve the learnt database, dropping high-glue clauses
    first; glue (LBD <= 2), binary, and locked clauses always survive *)
 let reduce_db s =
-  if s.opts.o_reduce_db then begin
-    let n = Vec.len s.learnts in
-    if n > s.reduce_limit then begin
-      s.db_reductions <- s.db_reductions + 1;
-      let kept = ref [] in
-      let removable = ref [] in
-      for i = 0 to n - 1 do
-        let c = Vec.get s.learnts i in
-        if c.deleted then ()
-        else if Array.length c.lits <= 2 || c.lbd <= 2 || locked s c then begin
-          if c.lbd <= 2 then s.kept_glue <- s.kept_glue + 1;
-          kept := c :: !kept
-        end
-        else removable := c :: !removable
-      done;
-      (* [removable] is newest-first; a stable sort keeps recent
-         clauses ahead of old ones within each glue class *)
-      let sorted = List.stable_sort (fun a b -> compare a.lbd b.lbd) !removable in
-      let keep_n = List.length sorted / 2 in
-      List.iteri
-        (fun i c ->
-          if i < keep_n then kept := c :: !kept
-          else begin
-            c.deleted <- true;
-            s.clause_count <- s.clause_count - 1
-          end)
-        sorted;
-      Vec.shrink s.learnts 0;
-      List.iter (Vec.push s.learnts) (List.rev !kept);
-      s.reduce_limit <- s.reduce_limit + (s.reduce_limit / 2)
-    end
+  let n = Vec.len s.learnts in
+  if n > s.reduce_limit then begin
+    s.db_reductions <- s.db_reductions + 1;
+    let kept = ref [] in
+    let removable = ref [] in
+    for i = 0 to n - 1 do
+      let c = Vec.get s.learnts i in
+      if c.deleted then ()
+      else if Array.length c.lits <= 2 || c.lbd <= 2 || locked s c then begin
+        if c.lbd <= 2 then s.kept_glue <- s.kept_glue + 1;
+        kept := c :: !kept
+      end
+      else removable := c :: !removable
+    done;
+    (* [removable] is newest-first; a stable sort keeps recent
+       clauses ahead of old ones within each glue class *)
+    let sorted = List.stable_sort (fun a b -> compare a.lbd b.lbd) !removable in
+    let keep_n = List.length sorted / 2 in
+    List.iteri
+      (fun i c ->
+        if i < keep_n then kept := c :: !kept
+        else begin
+          c.deleted <- true;
+          s.clause_count <- s.clause_count - 1
+        end)
+      sorted;
+    Vec.shrink s.learnts 0;
+    List.iter (Vec.push s.learnts) (List.rev !kept);
+    s.reduce_limit <- s.reduce_limit + (s.reduce_limit / 2)
   end
 
 let rec luby i =
@@ -788,7 +766,7 @@ let solve ?(assumptions = []) s =
                   Vec.push s.trail_lim (Vec.len s.trail);
                   let ph =
                     let t = s.target.(v) in
-                    if s.opts.o_target_phase && t <> 0 then t = 1 else s.polarity.(v)
+                    if t <> 0 then t = 1 else s.polarity.(v)
                   in
                   enqueue s (if ph then pos v else neg v) None;
                   search ()
@@ -797,11 +775,10 @@ let solve ?(assumptions = []) s =
       search ()
     with
     | Sat_found ->
-        if s.opts.o_target_phase then
-          (* remember the model as the preferred phases of later solves *)
-          for v = 0 to s.nvars - 1 do
-            s.target.(v) <- s.assign.(v)
-          done;
+        (* remember the model as the preferred phases of later solves *)
+        for v = 0 to s.nvars - 1 do
+          s.target.(v) <- s.assign.(v)
+        done;
         true
     | Unsat ->
         cancel_until s 0;
@@ -812,7 +789,7 @@ let set_polarity s v b =
   if v < s.nvars then begin
     s.polarity.(v) <- b;
     (* a fresh suggestion outranks the stale model phase *)
-    if s.opts.o_target_phase then s.target.(v) <- (if b then 1 else 2)
+    s.target.(v) <- (if b then 1 else 2)
   end
 
 let backtrack s = cancel_until s 0
@@ -881,7 +858,6 @@ let clone s =
     nvars = s.nvars;
     ok = s.ok;
     clause_count = s.clause_count;
-    opts = s.opts;
     watches = Array.map copy_wl s.watches;
     bin_watches = Array.map copy_wl s.bin_watches;
     assign = Array.copy s.assign;

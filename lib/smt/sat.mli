@@ -11,28 +11,10 @@
 
 type t
 
-type options = {
-  o_phase_saving : bool;
-      (** save the assigned polarity of each variable on backtrack and
-          reuse it as the branching phase (default [true]) *)
-  o_target_phase : bool;
-      (** after a satisfiable solve, replay the model's polarities as
-          the preferred phases of later solves (default [true]) *)
-  o_reduce_db : bool;
-      (** periodically halve the learnt-clause database, dropping
-          high-glue clauses first (default [true]) *)
-  o_minimise : bool;
-      (** shrink 1UIP clauses by recursive self-subsumption before
-          recording them (default [true]) *)
-  o_reduce_init : int;
-      (** learnt clauses tolerated before the first database
-          reduction; the limit then grows geometrically
-          (default [4000]) *)
-}
-
-val default_options : options
-
-val create : ?options:options -> unit -> t
+val create : ?reduce_init:int -> unit -> t
+(** [reduce_init] is the number of learnt clauses tolerated before the
+    first database reduction; the limit then grows geometrically
+    (default [4000]).  Tests lower it to force reductions. *)
 
 val new_var : t -> int
 (** Allocates a variable and returns its index. *)

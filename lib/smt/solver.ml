@@ -20,20 +20,17 @@ type metrics = {
   m_minimised_literals : Obs.Counter.t;
   m_cache_hits : Obs.Counter.t;
   m_cache_misses : Obs.Counter.t;
-  m_rewrite_hits : Obs.Counter.t;
   (* last-flushed readings, so deltas accumulate correctly even when
      several solvers (e.g. across rebuilds) share one registry *)
   mutable m_last_sat : Sat.counters;
   mutable m_last_hits : int;
   mutable m_last_misses : int;
-  mutable m_last_rewrites : int;
 }
 
 type t = {
   ectx : Expr.ctx;
   sat : Sat.t;
   blast : Blast.t;
-  simplify : bool; (* word-level rewrite before blasting *)
   metrics : metrics;
   mutable scopes : int list; (* activation literals, innermost first *)
   (* snapshot of the SAT assignment after the last Sat answer; models
@@ -44,11 +41,9 @@ type t = {
      SAT core left the bit unassigned (unconstrained vars are no longer
      decided at all) *)
   suggestions : (int, Bitv.Bits.t) Hashtbl.t;
-  mutable checks : int;
-  mutable time : float;
 }
 
-let make_metrics obs ectx sat =
+let make_metrics obs sat =
   let c = Obs.Registry.counter obs and t = Obs.Registry.timer obs in
   {
     m_obs = obs;
@@ -66,30 +61,23 @@ let make_metrics obs ectx sat =
     m_minimised_literals = c "sat.minimised_literals";
     m_cache_hits = c "blast.cache_hits";
     m_cache_misses = c "blast.cache_misses";
-    m_rewrite_hits = c "rewrite.hits";
     m_last_sat = Sat.counters sat;
     m_last_hits = 0;
     m_last_misses = 0;
-    (* the term context may predate this solver (rebuilds): report only
-       rewrites performed from now on *)
-    m_last_rewrites = Expr.rewrite_hits ectx;
   }
 
-let create ?obs ?(sat_options = Sat.default_options) ?(simplify = true) ectx =
+let create ?obs ectx =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let sat = Sat.create ~options:sat_options () in
+  let sat = Sat.create () in
   let blast = Blast.create ectx sat in
   {
     ectx;
     sat;
     blast;
-    simplify;
-    metrics = make_metrics obs ectx sat;
+    metrics = make_metrics obs sat;
     scopes = [];
     model_snap = [||];
     suggestions = Hashtbl.create 256;
-    checks = 0;
-    time = 0.0;
   }
 
 let obs s = s.metrics.m_obs
@@ -109,13 +97,10 @@ let clone ?obs ~ectx s =
     ectx;
     sat;
     blast;
-    simplify = s.simplify;
-    metrics = make_metrics obs ectx sat;
+    metrics = make_metrics obs sat;
     scopes = [];
     model_snap = Array.copy s.model_snap;
     suggestions = Hashtbl.copy s.suggestions;
-    checks = 0;
-    time = 0.0;
   }
 
 let flush_stats s =
@@ -136,10 +121,7 @@ let flush_stats s =
   Obs.Counter.add m.m_cache_hits (hits - m.m_last_hits);
   Obs.Counter.add m.m_cache_misses (misses - m.m_last_misses);
   m.m_last_hits <- hits;
-  m.m_last_misses <- misses;
-  let rw = Expr.rewrite_hits s.ectx in
-  Obs.Counter.add m.m_rewrite_hits (rw - m.m_last_rewrites);
-  m.m_last_rewrites <- rw
+  m.m_last_misses <- misses
 
 let scope_depth s = List.length s.scopes
 
@@ -160,27 +142,21 @@ let pop s =
 
 let ctx s = s.ectx
 
-(* word-level rewrite at assert time: what the pass discharges never
-   reaches the CNF layer *)
-let prepare_term s e = if s.simplify then Expr.simplify e else e
-
 let assert_ s e =
   if Expr.width e <> 1 then invalid_arg "Solver.assert_: width-1 term expected";
   if Expr.ctx_of e != s.ectx then
     invalid_arg "Solver.assert_: term from a different Expr context";
   Sat.backtrack s.sat;
-  let l = Blast.lit s.blast (prepare_term s e) in
+  let l = Blast.lit s.blast e in
   match s.scopes with
   | [] -> Sat.add_clause s.sat [ l ]
   | g :: _ -> Sat.add_clause s.sat [ Sat.negate g; l ]
 
 let run s assumptions =
-  s.checks <- s.checks + 1;
   Obs.Counter.incr s.metrics.m_checks;
   let t0 = Obs.Clock.now () in
   let r = Sat.solve ~assumptions s.sat in
   let dt = Obs.Clock.now () -. t0 in
-  s.time <- s.time +. dt;
   Obs.Timer.add s.metrics.m_time dt;
   flush_stats s;
   if r then begin
@@ -198,7 +174,7 @@ let check_assuming s es =
       (fun e ->
         if Expr.width e <> 1 then
           invalid_arg "Solver.check_assuming: width-1 term expected";
-        Blast.lit s.blast (prepare_term s e))
+        Blast.lit s.blast e)
       es
   in
   run s (s.scopes @ ls)
@@ -329,6 +305,3 @@ let model_holds m e = Bits.is_ones (frozen_eval m e)
 (* snapshot words plus a fixed overhead for the record/blast pointer;
    used only for the qcache.bytes gauge, precision is not needed *)
 let model_bytes m = (Array.length m.m_snap * 8) + 64
-
-let num_checks s = s.checks
-let solve_time s = s.time

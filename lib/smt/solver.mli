@@ -11,8 +11,7 @@ type t
 
 type result = Sat | Unsat
 
-val create :
-  ?obs:Obs.Registry.t -> ?sat_options:Sat.options -> ?simplify:bool -> Expr.ctx -> t
+val create : ?obs:Obs.Registry.t -> Expr.ctx -> t
 (** A fresh solver bound to one {!Expr.ctx}; terms from other contexts
     are rejected.  Independent solvers over independent contexts may
     run on different domains concurrently.
@@ -22,14 +21,10 @@ val create :
     [solver.time] timer, the [solver.scope_depth_hw] high-water gauge,
     the [sat.*] search counters (decisions, propagations, conflicts,
     restarts, learnt clauses/literals, db_reductions, kept_glue,
-    minimised_literals), the [blast.cache_*] term-cache counters and
-    the [rewrite.hits] word-level-rewrite counter.  Several solvers may
-    share a registry — e.g. across explorer rebuilds — and their
-    contributions accumulate.
-
-    [sat_options] tunes the CDCL core (see {!Sat.options}); [simplify]
-    (default [true]) runs {!Expr.simplify} on every asserted or assumed
-    term before bit-blasting. *)
+    minimised_literals) and the [blast.cache_*] term-cache counters.
+    Several solvers may share a registry — e.g. across explorer
+    rebuilds — and their contributions accumulate.  Asserted and
+    assumed terms are bit-blasted as they stand. *)
 
 val clone : ?obs:Obs.Registry.t -> ectx:Expr.ctx -> t -> t
 (** [clone ~ectx s] is a warm copy of [s] bound to [ectx], which must
@@ -115,8 +110,3 @@ val model_holds : model -> Expr.t -> bool
 
 val model_bytes : model -> int
 (** Approximate heap footprint, for cache accounting. *)
-
-val num_checks : t -> int
-val solve_time : t -> float
-(** Cumulative wall-clock seconds spent inside {!check} /
-    {!check_assuming} (the paper's Fig. 7 instruments this). *)

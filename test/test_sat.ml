@@ -105,14 +105,15 @@ let random_instance st =
   let nclauses = max 3 (int_of_float (float_of_int nvars *. ratio)) in
   (nvars, List.init nclauses (fun _ -> random_clause st nvars))
 
-(* options that exercise every new mechanism on tiny instances *)
-let fuzz_options = { Sat.default_options with Sat.o_reduce_init = 2 }
+(* a reduction limit that exercises the learnt-database reducer on
+   tiny instances *)
+let reduce_init = 2
 
 let model_satisfies s clauses =
   List.for_all (fun c -> List.exists (fun l -> Sat.lit_value s l) c) clauses
 
-let cdcl_solve ~options ~nvars clauses =
-  let s = Sat.create ~options () in
+let cdcl_solve ~nvars clauses =
+  let s = Sat.create ~reduce_init () in
   for _ = 1 to nvars do
     ignore (Sat.new_var s)
   done;
@@ -127,7 +128,7 @@ let test_fuzz_vs_dpll () =
   for i = 1 to 500 do
     let nvars, clauses = random_instance st in
     let expected = Dpll.solve ~nvars clauses in
-    let s, got = cdcl_solve ~options:fuzz_options ~nvars clauses in
+    let s, got = cdcl_solve ~nvars clauses in
     if got <> expected then
       Alcotest.failf "instance %d (%d vars, %d clauses): cdcl=%b dpll=%b" i nvars
         (List.length clauses) got expected;
@@ -149,29 +150,6 @@ let test_fuzz_vs_dpll () =
   Alcotest.(check bool) "found unsat instances" true (!unsat_n > 100);
   Alcotest.(check bool) "db reductions fired" true (!reductions > 0)
 
-(* same corpus, every optimisation disabled — localizes a fuzz failure
-   to the new mechanisms if only one of the two tests breaks *)
-let test_fuzz_plain () =
-  let st = Random.State.make [| 0x5a7b3 |] in
-  let plain =
-    {
-      Sat.o_phase_saving = false;
-      o_target_phase = false;
-      o_reduce_db = false;
-      o_minimise = false;
-      o_reduce_init = max_int;
-    }
-  in
-  for i = 1 to 200 do
-    let nvars, clauses = random_instance st in
-    let expected = Dpll.solve ~nvars clauses in
-    let s, got = cdcl_solve ~options:plain ~nvars clauses in
-    if got <> expected then
-      Alcotest.failf "instance %d: plain cdcl=%b dpll=%b" i got expected;
-    if got && not (model_satisfies s clauses) then
-      Alcotest.failf "instance %d: plain model violates a clause" i
-  done
-
 (* Regression: models read after [reduce_db] has deleted learnt
    clauses must still satisfy every original clause.  Satisfiable
    random instances rarely conflict enough on their own for the
@@ -187,7 +165,7 @@ let test_model_survives_reduction () =
     let nvars = 14 + Random.State.int st 8 in
     let nclauses = int_of_float (float_of_int nvars *. 3.5) in
     let clauses = List.init nclauses (fun _ -> random_clause st nvars) in
-    let s, got = cdcl_solve ~options:fuzz_options ~nvars clauses in
+    let s, got = cdcl_solve ~nvars clauses in
     if got then begin
       (* enumerate models, blocking each over the first 8 variables *)
       let window = min 8 nvars in
@@ -212,11 +190,11 @@ let test_model_survives_reduction () =
     Alcotest.failf "reduce_db rarely exercised: %d/%d attempts" !exercised !attempts
 
 (* Deterministic pigeonhole instance (n+1 pigeons, n holes): unsat,
-   conflict-heavy, and with o_reduce_init = 2 it guarantees reductions
+   conflict-heavy, and with reduce_init = 2 it guarantees reductions
    and minimisation activity on a fixed input. *)
 let test_pigeonhole () =
   let pigeons = 6 and holes = 5 in
-  let s = Sat.create ~options:fuzz_options () in
+  let s = Sat.create ~reduce_init () in
   let var = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.new_var s)) in
   for p = 0 to pigeons - 1 do
     Sat.add_clause s (List.init holes (fun h -> Sat.pos var.(p).(h)))
@@ -239,7 +217,6 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "cdcl-vs-dpll-500" `Quick test_fuzz_vs_dpll;
-          Alcotest.test_case "cdcl-plain-vs-dpll" `Quick test_fuzz_plain;
         ] );
       ( "reduce_db",
         [

@@ -333,82 +333,40 @@ let diff_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Word-level simplification (Expr.simplify / known_bits) *)
+(* Asserted terms go straight to the bit-blaster: whatever the smart
+   constructors leave open, the SAT core must decide *)
 
-let test_simplify_concat_eq () =
-  (* equality of aligned concats splits per part; the constant parts
-     disagree, so the whole equality folds to false *)
+let check_blasted name formula expected =
+  let s = Solver.create ctx in
+  Solver.assert_ s formula;
+  Alcotest.(check bool) name true (Solver.check s = expected)
+
+let test_solver_concat_mismatch () =
+  let x = fresh 8 in
+  check_blasted "x++0xAA = x++0xBB"
+    (Expr.eq
+       (Expr.concat x (Expr.of_int ctx ~width:8 0xAA))
+       (Expr.concat x (Expr.of_int ctx ~width:8 0xBB)))
+    Solver.Unsat
+
+let test_solver_odd_not_zero () =
+  let x = fresh 8 in
+  check_blasted "(x++1) = 0"
+    (Expr.eq (Expr.concat x (Expr.ones ctx 1)) (Expr.zero ctx 9))
+    Solver.Unsat
+
+let test_solver_zext_range () =
+  let x = fresh 8 in
+  check_blasted "not (zext x 16 <u 256)"
+    (Expr.bnot (Expr.ult (Expr.zext x 16) (Expr.of_int ctx ~width:16 256)))
+    Solver.Unsat
+
+let test_solver_concat_match () =
   let x = fresh 8 in
   let a = Expr.concat x (Expr.of_int ctx ~width:8 0xAA) in
-  let b = Expr.concat x (Expr.of_int ctx ~width:8 0xBB) in
-  Alcotest.(check bool) "folds to false" true (Expr.is_false (Expr.simplify (Expr.eq a b)));
-  (* agreeing constant parts leave only the variable equality, which
-     folds to true *)
-  let c = Expr.concat x (Expr.of_int ctx ~width:8 0xAA) in
-  Alcotest.(check bool) "folds to true" true (Expr.is_true (Expr.simplify (Expr.eq a c)))
-
-let test_simplify_known_range () =
-  (* zext x8 to 16 caps the value at 255 < 256: the comparison is
-     decided by known-bits ranges, not by the solver *)
-  let x = fresh 8 in
-  let e = Expr.ult (Expr.zext x 16) (Expr.of_int ctx ~width:16 256) in
-  Alcotest.(check bool) "ult decided" true (Expr.is_true (Expr.simplify e));
-  let m, v = Expr.known_bits (Expr.zext x 16) in
-  Alcotest.(check check_bits) "high byte known zero"
-    (Bits.of_int ~width:16 0xff00) (Bits.logand m (Bits.lognot v));
-  (* a known-disagreeing bit refutes an equality: x ++ 1 is odd *)
-  let odd = Expr.concat x (Expr.ones ctx 1) in
-  let even = Expr.zero ctx 9 in
-  Alcotest.(check bool) "parity refutes eq" true
-    (Expr.is_false (Expr.simplify (Expr.eq odd even)))
-
-let test_simplify_ite_nesting () =
-  let c = Expr.eq (fresh 8) (Expr.zero ctx 8) in
-  let a = fresh 8 and b = fresh 8 and d = fresh 8 in
-  (* the inner ite repeats the (hash-consed) outer condition: its dead
-     arm disappears *)
-  let e = Expr.ite c (Expr.ite c a b) d in
-  let expected = Expr.ite c a d in
-  Alcotest.(check bool) "nested ite pruned" true (Expr.simplify e == expected);
-  (* negated conditions flip arms instead of blasting the Not *)
-  let e' = Expr.ite (Expr.bnot c) d a in
-  Alcotest.(check bool) "not-cond flipped" true (Expr.simplify e' == expected)
-
-let test_simplify_counts_hits () =
-  let before = Expr.rewrite_hits ctx in
-  let x = fresh 8 in
-  let e =
-    Expr.eq
-      (Expr.concat x (Expr.of_int ctx ~width:8 1))
-      (Expr.concat x (Expr.of_int ctx ~width:8 2))
-  in
-  ignore (Expr.simplify e);
-  Alcotest.(check bool) "hits counted" true (Expr.rewrite_hits ctx > before);
-  (* memoised: a second pass over the same term is free *)
-  let mid = Expr.rewrite_hits ctx in
-  ignore (Expr.simplify e);
-  Alcotest.(check int) "memoised" mid (Expr.rewrite_hits ctx)
-
-let simplify_props =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:300 ~name:"simplify preserves evaluation" arb_term_env
-         (fun (e, env3) ->
-           let s = Expr.simplify e in
-           Bits.equal (Expr.eval (env_of env3) e) (Expr.eval (env_of env3) s)));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:150 ~name:"simplify is idempotent" arb_term
-         (fun e ->
-           let s = Expr.simplify e in
-           Expr.simplify s == s));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:150 ~name:"known bits are sound" arb_term_env
-         (fun (e, env3) ->
-           let m, v = Expr.known_bits e in
-           let actual = Expr.eval (env_of env3) e in
-           (* every claimed-known bit matches concrete evaluation *)
-           Bits.equal (Bits.logand m actual) (Bits.logand m v)));
-  ]
+  check_blasted "x++0xAA = x++0xAA"
+    (Expr.eq a (Expr.concat x (Expr.of_int ctx ~width:8 0xAA)))
+    Solver.Sat
 
 let () =
   Alcotest.run "smt"
@@ -438,15 +396,10 @@ let () =
           Alcotest.test_case "shift" `Quick test_solver_shift;
           Alcotest.test_case "assuming" `Quick test_solver_assuming;
           Alcotest.test_case "concat model" `Quick test_solver_concat_model;
+          Alcotest.test_case "concat mismatch" `Quick test_solver_concat_mismatch;
+          Alcotest.test_case "odd is not zero" `Quick test_solver_odd_not_zero;
+          Alcotest.test_case "zext range" `Quick test_solver_zext_range;
+          Alcotest.test_case "concat match" `Quick test_solver_concat_match;
         ] );
-      ( "simplify",
-        Alcotest.
-          [
-            test_case "concat equality" `Quick test_simplify_concat_eq;
-            test_case "known ranges" `Quick test_simplify_known_range;
-            test_case "ite nesting" `Quick test_simplify_ite_nesting;
-            test_case "rewrite hits" `Quick test_simplify_counts_hits;
-          ]
-        @ simplify_props );
       ("differential", diff_props);
     ]
