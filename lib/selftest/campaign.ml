@@ -18,7 +18,7 @@
    Case programs come from one of two sources.  In *pure-random* mode
    (the PR 5 behavior) every case draws a fresh program from
    {!Progzoo.Randprog}.  In *corpus* mode ([corpus_dir] set) the
-   campaign keeps a coverage-guided {!Corpus}: cases whose runs reach
+   campaign keeps a coverage-guided {!Seedpool}: cases whose runs reach
    new oracle coverage keys (canonical statement/path shapes, see
    {!Explore.coverage_keys}) or new feature-tag combinations are
    admitted, and once the corpus is warm most cases are derived by
@@ -141,7 +141,7 @@ type summary = {
           mode, cumulative over the corpus lifetime in corpus mode *)
   s_cov_cases : int;  (** the denominator matching [s_cov_keys] *)
   s_mutated : int;  (** cases derived by mutation in this run *)
-  s_corpus : Corpus.t option;  (** final corpus state in corpus mode *)
+  s_corpus : Seedpool.t option;  (** final corpus state in corpus mode *)
   s_interrupted : bool;  (** stopped early by [interrupt_after] *)
 }
 
@@ -551,7 +551,7 @@ type derivation =
    the corpus state and a per-case rng — is deterministic in (master
    seed, case index, corpus state), which the batch discipline keeps
    identical for any [jobs]. *)
-let derive_case cfg (corpus : Corpus.t) ~deadline (i : int) : derivation =
+let derive_case cfg (corpus : Seedpool.t) ~deadline (i : int) : derivation =
   let seed = case_seed cfg.seed i in
   let expired =
     match deadline with Some d -> Obs.Clock.now () > d | None -> false
@@ -561,7 +561,7 @@ let derive_case cfg (corpus : Corpus.t) ~deadline (i : int) : derivation =
     let rng = Random.State.make [| seed; 0xC0FFEE |] in
     let arch_names = List.map Randprog.arch_name cfg.archs in
     let bases =
-      List.filter (fun e -> List.mem e.Corpus.arch arch_names) (Corpus.entries corpus)
+      List.filter (fun e -> List.mem e.Seedpool.arch arch_names) (Seedpool.entries corpus)
     in
     let fresh () =
       let arch = case_arch cfg i in
@@ -575,7 +575,7 @@ let derive_case cfg (corpus : Corpus.t) ~deadline (i : int) : derivation =
           d_mutant = false;
         }
     in
-    let warm = List.length bases >= corpus.Corpus.min_size in
+    let warm = List.length bases >= corpus.Seedpool.min_size in
     if not (warm && Random.State.float rng 1.0 < cfg.mutation_ratio) then fresh ()
     else begin
       (* a mutant must parse, type, and fit both the oracle and the
@@ -600,19 +600,19 @@ let derive_case cfg (corpus : Corpus.t) ~deadline (i : int) : derivation =
           let donor =
             match
               List.filter
-                (fun e -> e.Corpus.id <> base.Corpus.id && e.Corpus.arch = base.Corpus.arch)
+                (fun e -> e.Seedpool.id <> base.Seedpool.id && e.Seedpool.arch = base.Seedpool.arch)
                 bases
             with
             | [] -> None
-            | ds -> Some (List.nth ds (Random.State.int rng (List.length ds))).Corpus.src
+            | ds -> Some (List.nth ds (Random.State.int rng (List.length ds))).Seedpool.src
           in
-          match Mutate.mutate ~seed:((seed * 31) + k) ?donor base.Corpus.src with
+          match Mutate.mutate ~seed:((seed * 31) + k) ?donor base.Seedpool.src with
           | None -> attempt (k + 1)
-          | Some m when not (validate base.Corpus.arch m.Mutate.m_src) -> attempt (k + 1)
+          | Some m when not (validate base.Seedpool.arch m.Mutate.m_src) -> attempt (k + 1)
           | Some m ->
-              Corpus.note_mutation corpus ~id:base.Corpus.id;
+              Seedpool.note_mutation corpus ~id:base.Seedpool.id;
               if List.exists (String.starts_with ~prefix:"splice_") m.Mutate.m_ops then
-                Corpus.note_splice corpus;
+                Seedpool.note_splice corpus;
               let features =
                 match P4.Parser.parse_program m.Mutate.m_src with
                 | p -> Randprog.tags_of_program p
@@ -621,7 +621,7 @@ let derive_case cfg (corpus : Corpus.t) ~deadline (i : int) : derivation =
               Eval
                 {
                   d_seed = seed;
-                  d_arch = base.Corpus.arch;
+                  d_arch = base.Seedpool.arch;
                   d_src = m.Mutate.m_src;
                   d_features = features;
                   d_mutant = true;
@@ -781,15 +781,15 @@ let run_corpus (cfg : config) (dir : string) : summary =
   let deadline = Option.map (fun s -> t0 +. s) cfg.max_seconds in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let corpus =
-    match Corpus.load dir with Some c -> c | None -> Corpus.create ()
+    match Seedpool.load dir with Some c -> c | None -> Seedpool.create ()
   in
   (* obs mirrors report this run's activity as deltas over the loaded
      (cumulative) corpus counters *)
-  let admits0 = corpus.Corpus.admits
-  and evict0 = corpus.Corpus.evictions
-  and novelty0 = corpus.Corpus.coverage_novelty
-  and mut0 = corpus.Corpus.mutations_total
-  and splice0 = corpus.Corpus.splice_sources in
+  let admits0 = corpus.Seedpool.admits
+  and evict0 = corpus.Seedpool.evictions
+  and novelty0 = corpus.Seedpool.coverage_novelty
+  and mut0 = corpus.Seedpool.mutations_total
+  and splice0 = corpus.Seedpool.splice_sources in
   let n = cfg.cases in
   let out = Array.make n None in
   let restored, start =
@@ -855,15 +855,15 @@ let run_corpus (cfg : config) (dir : string) : summary =
             r.r_failure = None && not r.r_skipped
             && cfg.fault = Sim.Mutation.No_fault
           then begin
-            let ks = Corpus.ISet.of_list (Runtime.IntSet.elements keys.(k)) in
+            let ks = Seedpool.ISet.of_list (Runtime.IntSet.elements keys.(k)) in
             ignore
-              (Corpus.observe corpus ~src:d.d_src ~arch:d.d_arch ~tags:d.d_features
+              (Seedpool.observe corpus ~src:d.d_src ~arch:d.d_arch ~tags:d.d_features
                  ~keys:ks)
           end
       | _ -> ()
     done;
     (* checkpoint: corpus first, then the campaign prefix *)
-    Corpus.save corpus dir;
+    Seedpool.save corpus dir;
     let prefix =
       List.init b1 (fun i -> out.(i)) |> List.filter_map Fun.id
     in
@@ -875,15 +875,15 @@ let run_corpus (cfg : config) (dir : string) : summary =
   done;
   if extra > 0 then Explore.Pool.release extra;
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.admits")
-    (corpus.Corpus.admits - admits0);
+    (corpus.Seedpool.admits - admits0);
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.evictions")
-    (corpus.Corpus.evictions - evict0);
+    (corpus.Seedpool.evictions - evict0);
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.coverage_novelty")
-    (corpus.Corpus.coverage_novelty - novelty0);
+    (corpus.Seedpool.coverage_novelty - novelty0);
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.mutations")
-    (corpus.Corpus.mutations_total - mut0);
+    (corpus.Seedpool.mutations_total - mut0);
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.splice_sources")
-    (corpus.Corpus.splice_sources - splice0);
+    (corpus.Seedpool.splice_sources - splice0);
   let results = Array.to_list out |> List.filter_map Fun.id in
   let results =
     if !interrupted then results
@@ -895,8 +895,8 @@ let run_corpus (cfg : config) (dir : string) : summary =
     end
   in
   assemble cfg ~t0 ~worker_regs ~results
-    ~cov_keys:(Corpus.ISet.cardinal corpus.Corpus.seen)
-    ~cov_cases:corpus.Corpus.cases_seen ~mutated:!mutated ~corpus:(Some corpus)
+    ~cov_keys:(Seedpool.ISet.cardinal corpus.Seedpool.seen)
+    ~cov_cases:corpus.Seedpool.cases_seen ~mutated:!mutated ~corpus:(Some corpus)
     ~interrupted:!interrupted
 
 (* ------------------------------------------------------------------ *)
@@ -928,8 +928,8 @@ let summary_line (s : summary) : string =
   | Some c ->
       base
       ^ Printf.sprintf " corpus=%d admits=%d evict=%d mut=%d splice=%d"
-          (Corpus.size c) c.Corpus.admits c.Corpus.evictions
-          c.Corpus.mutations_total c.Corpus.splice_sources
+          (Seedpool.size c) c.Seedpool.admits c.Seedpool.evictions
+          c.Seedpool.mutations_total c.Seedpool.splice_sources
 
 let pp_summary ppf (s : summary) =
   Format.fprintf ppf "selftest: %s (%.2fs)@." (summary_line s) s.s_wall;

@@ -56,7 +56,7 @@ type t = {
 }
 
 let create ?(max_size = 64) ?(min_size = 8) ?(max_mutations = 24) () =
-  if min_size > max_size then invalid_arg "Corpus.create: min_size > max_size";
+  if min_size > max_size then invalid_arg "Seedpool.create: min_size > max_size";
   {
     max_size;
     min_size;

@@ -1,7 +1,7 @@
 (* Tests for the coverage-guided corpus and the AST mutation engine
    behind `p4testgen selftest --corpus` (ROADMAP item 3).
 
-   Corpus mechanics: admission on novelty, oldest-first eviction, the
+   Seed-pool mechanics: admission on novelty, oldest-first eviction, the
    minimum-size floor under aging, and a byte-exact save/load/save
    round-trip of the versioned on-disk format.  Mutation engine: a
    QCheck property that every mutant of every generated program either
@@ -13,11 +13,11 @@
    bit-identical to an uninterrupted run at the same seed. *)
 
 module Campaign = Selftest.Campaign
-module Corpus = Selftest.Corpus
+module Seedpool = Selftest.Seedpool
 module Mutate = Selftest.Mutate
 module Randprog = Progzoo.Randprog
 module Oracle = Testgen.Oracle
-module ISet = Corpus.ISet
+module ISet = Seedpool.ISet
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
@@ -44,42 +44,42 @@ let keys_of_list l = ISet.of_list l
 (* Admission, eviction order, and the min-size floor *)
 
 let test_admission_and_eviction () =
-  let c = Corpus.create ~max_size:4 ~min_size:2 ~max_mutations:24 () in
+  let c = Seedpool.create ~max_size:4 ~min_size:2 ~max_mutations:24 () in
   (* six admissions, each with a fresh coverage key: the ring holds
      the last four, oldest first *)
   for i = 1 to 6 do
     let admitted =
-      Corpus.observe c
+      Seedpool.observe c
         ~src:(Printf.sprintf "prog%d" i)
         ~arch:"v1model" ~tags:[ "t" ]
         ~keys:(keys_of_list [ i ])
     in
     Alcotest.(check bool) (Printf.sprintf "case %d admitted" i) true admitted
   done;
-  Alcotest.(check int) "ring bounded" 4 (Corpus.size c);
-  Alcotest.(check int) "evictions counted" 2 c.Corpus.evictions;
+  Alcotest.(check int) "ring bounded" 4 (Seedpool.size c);
+  Alcotest.(check int) "evictions counted" 2 c.Seedpool.evictions;
   Alcotest.(check (list string))
     "oldest evicted first"
     [ "prog3"; "prog4"; "prog5"; "prog6" ]
-    (List.map (fun e -> e.Corpus.src) (Corpus.entries c));
+    (List.map (fun e -> e.Seedpool.src) (Seedpool.entries c));
   (* no novelty, no new combo: rejected and not counted as an admit *)
   let dup =
-    Corpus.observe c ~src:"dup" ~arch:"v1model" ~tags:[ "t" ] ~keys:(keys_of_list [ 3 ])
+    Seedpool.observe c ~src:"dup" ~arch:"v1model" ~tags:[ "t" ] ~keys:(keys_of_list [ 3 ])
   in
   Alcotest.(check bool) "stale case rejected" false dup;
-  Alcotest.(check int) "admit count unchanged" 6 c.Corpus.admits;
+  Alcotest.(check int) "admit count unchanged" 6 c.Seedpool.admits;
   (* a previously unseen feature-tag combination admits even with
      zero coverage novelty *)
   let combo =
-    Corpus.observe c ~src:"combo" ~arch:"tna" ~tags:[ "t" ] ~keys:(keys_of_list [ 3 ])
+    Seedpool.observe c ~src:"combo" ~arch:"tna" ~tags:[ "t" ] ~keys:(keys_of_list [ 3 ])
   in
   Alcotest.(check bool) "new tag combo admits" true combo
 
 let test_min_size_floor () =
-  let c = Corpus.create ~max_size:8 ~min_size:2 ~max_mutations:1 () in
+  let c = Seedpool.create ~max_size:8 ~min_size:2 ~max_mutations:1 () in
   for i = 1 to 3 do
     ignore
-      (Corpus.observe c
+      (Seedpool.observe c
          ~src:(Printf.sprintf "prog%d" i)
          ~arch:"v1model" ~tags:[ "t" ]
          ~keys:(keys_of_list [ i ]))
@@ -87,63 +87,63 @@ let test_min_size_floor () =
   (* age every entry far past max_mutations: retirement must stop at
      the floor *)
   List.iter
-    (fun (e : Corpus.entry) ->
+    (fun (e : Seedpool.entry) ->
       for _ = 1 to 5 do
-        Corpus.note_mutation c ~id:e.Corpus.id
+        Seedpool.note_mutation c ~id:e.Seedpool.id
       done)
-    (Corpus.entries c);
-  Alcotest.(check int) "aged down to the floor" 2 (Corpus.size c);
-  Alcotest.(check int) "mutations all counted" 15 c.Corpus.mutations_total
+    (Seedpool.entries c);
+  Alcotest.(check int) "aged down to the floor" 2 (Seedpool.size c);
+  Alcotest.(check int) "mutations all counted" 15 c.Seedpool.mutations_total
 
 (* ------------------------------------------------------------------ *)
 (* Persistence: save -> load -> save must be byte-identical, and the
    loaded corpus must carry every counter and the coverage-key set *)
 
 let test_persistence_round_trip () =
-  let c = Corpus.create ~max_size:4 ~min_size:2 ~max_mutations:24 () in
+  let c = Seedpool.create ~max_size:4 ~min_size:2 ~max_mutations:24 () in
   for i = 1 to 5 do
     ignore
-      (Corpus.observe c
+      (Seedpool.observe c
          ~src:(Printf.sprintf "control c%d() { apply { } }\n" i)
          ~arch:(if i mod 2 = 0 then "tna" else "v1model")
          ~tags:[ "tables"; Printf.sprintf "f%d" i ]
          ~keys:(keys_of_list [ i; i + 100 ]))
   done;
-  (match Corpus.entries c with
-  | e :: _ -> Corpus.note_mutation c ~id:e.Corpus.id
+  (match Seedpool.entries c with
+  | e :: _ -> Seedpool.note_mutation c ~id:e.Seedpool.id
   | [] -> Alcotest.fail "corpus unexpectedly empty");
-  Corpus.note_splice c;
+  Seedpool.note_splice c;
   let d1 = fresh_dir "p4tg-corpus-rt1" and d2 = fresh_dir "p4tg-corpus-rt2" in
   Fun.protect
     ~finally:(fun () ->
       rm_rf d1;
       rm_rf d2)
     (fun () ->
-      Corpus.save c d1;
+      Seedpool.save c d1;
       let c' =
-        match Corpus.load d1 with
+        match Seedpool.load d1 with
         | Some c' -> c'
         | None -> Alcotest.fail "saved corpus does not load"
       in
-      Alcotest.(check int) "size survives" (Corpus.size c) (Corpus.size c');
-      Alcotest.(check int) "admits survive" c.Corpus.admits c'.Corpus.admits;
-      Alcotest.(check int) "evictions survive" c.Corpus.evictions c'.Corpus.evictions;
-      Alcotest.(check int) "novelty survives" c.Corpus.coverage_novelty
-        c'.Corpus.coverage_novelty;
-      Alcotest.(check int) "mutations survive" c.Corpus.mutations_total
-        c'.Corpus.mutations_total;
-      Alcotest.(check int) "splices survive" c.Corpus.splice_sources
-        c'.Corpus.splice_sources;
-      Alcotest.(check int) "cases survive" c.Corpus.cases_seen c'.Corpus.cases_seen;
+      Alcotest.(check int) "size survives" (Seedpool.size c) (Seedpool.size c');
+      Alcotest.(check int) "admits survive" c.Seedpool.admits c'.Seedpool.admits;
+      Alcotest.(check int) "evictions survive" c.Seedpool.evictions c'.Seedpool.evictions;
+      Alcotest.(check int) "novelty survives" c.Seedpool.coverage_novelty
+        c'.Seedpool.coverage_novelty;
+      Alcotest.(check int) "mutations survive" c.Seedpool.mutations_total
+        c'.Seedpool.mutations_total;
+      Alcotest.(check int) "splices survive" c.Seedpool.splice_sources
+        c'.Seedpool.splice_sources;
+      Alcotest.(check int) "cases survive" c.Seedpool.cases_seen c'.Seedpool.cases_seen;
       Alcotest.(check bool) "seen keys survive" true
-        (ISet.equal c.Corpus.seen c'.Corpus.seen);
+        (ISet.equal c.Seedpool.seen c'.Seedpool.seen);
       List.iter2
-        (fun (a : Corpus.entry) (b : Corpus.entry) ->
-          Alcotest.(check string) "entry source survives" a.Corpus.src b.Corpus.src;
-          Alcotest.(check (list string)) "entry tags survive" a.Corpus.tags b.Corpus.tags;
-          Alcotest.(check int) "entry age survives" a.Corpus.mutations b.Corpus.mutations)
-        (Corpus.entries c) (Corpus.entries c');
-      Corpus.save c' d2;
+        (fun (a : Seedpool.entry) (b : Seedpool.entry) ->
+          Alcotest.(check string) "entry source survives" a.Seedpool.src b.Seedpool.src;
+          Alcotest.(check (list string)) "entry tags survive" a.Seedpool.tags b.Seedpool.tags;
+          Alcotest.(check int) "entry age survives" a.Seedpool.mutations b.Seedpool.mutations)
+        (Seedpool.entries c) (Seedpool.entries c');
+      Seedpool.save c' d2;
       Alcotest.(check string) "canonical serialization: save/load/save bytes"
         (read_file (Filename.concat d1 "corpus.p4tg"))
         (read_file (Filename.concat d2 "corpus.p4tg")))
@@ -156,7 +156,7 @@ let test_corrupt_file_ignored () =
       Out_channel.with_open_bin (Filename.concat d "corpus.p4tg") (fun oc ->
           Out_channel.output_string oc "p4tg-corpus-v999\nnot a corpus\n");
       Alcotest.(check bool) "wrong-version file rejected, not crashed" true
-        (Corpus.load d = None))
+        (Seedpool.load d = None))
 
 (* ------------------------------------------------------------------ *)
 (* Mutation engine: totality and determinism.
