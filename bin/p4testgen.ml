@@ -249,7 +249,7 @@ let solver_knobs =
   in
   Term.(const apply $ no_query_cache $ qcache_slots)
 
-(* intra-program parallelism knobs, same transformer pattern *)
+(* intra-program parallelism knob, same transformer pattern *)
 let parallel_knobs =
   let path_jobs =
     Arg.(
@@ -262,39 +262,8 @@ let parallel_knobs =
              $(b,--path-jobs 1) is the reference for higher values.  Composes \
              with $(b,--jobs) in batch mode through one shared domain budget")
   in
-  let split_tasks =
-    Arg.(
-      value
-      & opt int Testgen.Explore.default_config.Testgen.Explore.split_tasks
-      & info [ "split-tasks" ] ~docv:"T"
-          ~doc:
-            "Target number of subtree tasks the adaptive splitter prepares \
-             for $(b,--path-jobs) workers: the heaviest task is split one \
-             fork level deeper until $(docv) tasks exist (more = finer \
-             load balancing, slightly more per-task overhead)")
-  in
-  let snapshot_max_bytes =
-    Arg.(
-      value
-      & opt int
-          Testgen.Explore.default_config.Testgen.Explore.snapshot_max_bytes
-      & info
-          [ "snapshot-max-bytes" ]
-          ~docv:"B"
-          ~doc:
-            "Estimated term weight above which a subtree task is started by \
-             replaying its branch prefix instead of importing a state \
-             snapshot (0 forces replay for every task)")
-  in
-  let apply pj st sb config =
-    {
-      config with
-      Testgen.Explore.path_jobs = pj;
-      split_tasks = st;
-      snapshot_max_bytes = sb;
-    }
-  in
-  Term.(const apply $ path_jobs $ split_tasks $ snapshot_max_bytes)
+  let apply pj config = { config with Testgen.Explore.path_jobs = pj } in
+  Term.(const apply $ path_jobs)
 
 let generate_t =
   Term.(

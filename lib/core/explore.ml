@@ -21,17 +21,13 @@
      re-executing a prefix — plus the branch-choice prefix that
      reaches it and the path conditions accumulated along the way.
 
-     Workers start a task from a *snapshot*, not a replay: the
-     task's state is imported into a private [Expr.clone_ctx] term
-     context (tag/vid-preserving, so pre-fork hash-consed terms are
-     reused rather than re-interned) and the splitter's solver is
+     Workers start a task from a *snapshot*: the task's state is
+     imported into a private [Expr.clone_ctx] term context
+     (tag/vid-preserving, so pre-fork hash-consed terms are reused
+     rather than re-interned) and the splitter's solver is
      [Solver.clone]d — clause database, learnt clauses, phase state,
      and blaster caches included — then the task's path conditions
-     are asserted as the clone's base.  A task whose estimated
-     snapshot weight exceeds [snapshot_max_bytes] falls back to the
-     PR-4-style prefix replay into a fresh instance (the [fresh]
-     hook), which keeps the replayable-prefix story available for
-     checkpointing and sharding.
+     are asserted as the clone's base.
 
      The splitter runs to completion before any worker starts, and
      every task clones from the same frozen splitter-final
@@ -67,10 +63,6 @@ type config = {
           heaviest task one fork level deeper until this many subtree
           tasks exist (frontier driver only; <= 1 disables splitting
           and runs the whole tree as one task) *)
-  snapshot_max_bytes : int;
-      (** estimated term weight above which a task is started by
-          replaying its branch prefix into a fresh instance instead of
-          importing a snapshot (0 forces replay for every task) *)
   query_cache : bool;
       (** consult the {!Smt.Qcache} independence-slicing cache before
           paying for a branch-feasibility solver check.  Cache
@@ -113,7 +105,6 @@ let default_config =
     rebuild_size_threshold = 4000;
     path_jobs = 0;
     split_tasks = 32;
-    snapshot_max_bytes = 32_000_000;
     query_cache = true;
     qcache_slots = 512;
     qcache_store = None;
@@ -353,8 +344,8 @@ let port_tainted st =
 (* Sequence boundary: a completed packet with injections left starts
    the next one (the target-installed hook archives the finished
    packet and re-initialises the pipeline over the persisting extern
-   state).  This is an implicit step — it consumes no fork choice — so
-   recorded branch prefixes replay across boundaries unchanged. *)
+   state).  This is an implicit step: it consumes no fork choice, so
+   a task's branch prefix counts forks only. *)
 let seq_boundary (ctx : ctx) (st : state) : state option =
   if st.seq_left > 0 then Some (ctx.next_packet_hook ctx st) else None
 
@@ -365,7 +356,8 @@ let seq_boundary (ctx : ctx) (st : state) : state option =
    solver (rebuilt when it accumulates dead variables), the spine of
    active assertions, and the accumulated tests.  The sequential
    driver runs one engine over the whole tree; the frontier driver
-   runs one per task, seeded with the replayed prefix as [e_base]. *)
+   runs one per task, seeded with the task's path conditions as
+   [e_base]. *)
 
 type cells = {
   c_paths : Obs.Counter.t;
@@ -424,7 +416,7 @@ type engine = {
          the solver's scope stack; lets us rebuild a fresh solver when
          the old one has accumulated too many dead variables *)
   e_base : Expr.t list;
-      (* base-scope assertions (the replayed prefix conditions),
+      (* base-scope assertions (the task's path conditions),
          re-asserted into every rebuilt solver before the spine *)
   mutable e_tests : Testspec.t list;  (* newest first *)
   mutable e_covered : IntSet.t;
@@ -574,7 +566,7 @@ let finish eng st =
   check_budget eng
 
 (* branch ordering, tagged with each branch's original index so forks
-   record replayable choices.  Rnd keys are 63-bit so key collisions
+   record their choices by position in the step's branch list.  Rnd keys are 63-bit so key collisions
    (which would leave tie order to List.sort internals rather than the
    seed) are out of the picture even on wide branch lists. *)
 let order eng branches =
@@ -707,62 +699,6 @@ let rec dfs eng ~split depth pref st =
         (order eng branches)
 
 (* ------------------------------------------------------------------ *)
-(* Prefix replay
-
-   Walks [prefix] (original branch indices at forks) from [st0],
-   re-taking every implicit step; [assert_cond] receives each path
-   condition along the way (the frontier worker asserts them at the
-   solver's base scope).  Stops after the last recorded choice: the
-   chain below it is the task's subtree. *)
-
-let prefix_to_string p = String.concat "." (List.map string_of_int p)
-
-let replay ctx cells c_rsteps ~assert_cond prefix st0 =
-  let nchoices = List.length prefix in
-  let diverged remaining =
-    fail
-      "prefix replay diverged from the recorded path at choice depth %d \
-       (prefix %s)"
-      (nchoices - List.length remaining)
-      (prefix_to_string prefix)
-  in
-  let follow pref b =
-    match b.br_cond with
-    | None -> (pref, b.br_state)
-    | Some c when Expr.is_true c -> (pref, b.br_state)
-    | Some c ->
-        assert_cond c;
-        (pref, add_cond c b.br_state)
-  in
-  let rec walk pref st =
-    match pref with
-    | [] -> st
-    | i :: rest -> (
-        let t0 = Obs.Clock.now () in
-        let stepped = Step.step ctx st in
-        Obs.Timer.add cells.tm_step (Obs.Clock.now () -. t0);
-        Obs.Counter.incr c_rsteps;
-        match stepped with
-        | None -> (
-            (* boundaries are implicit during replay too *)
-            match seq_boundary ctx st with
-            | Some st' -> walk pref st'
-            | None -> diverged pref)
-        | Some [] -> diverged pref
-        | Some [ { br_cond = None; br_state; _ } ] -> walk pref br_state
-        | Some [ b ] ->
-            (* single conditional branch: implicit, not a recorded
-               choice (feasibility was proven by the splitter) *)
-            let pref, st = follow pref b in
-            walk pref st
-        | Some branches ->
-            let b = try List.nth branches i with _ -> diverged pref in
-            let _, st = follow rest b in
-            walk rest st)
-  in
-  walk prefix st0
-
-(* ------------------------------------------------------------------ *)
 (* Sequential driver (path_jobs = 0) *)
 
 let run_seq (config : config) (ctx : ctx) (st0 : state) : result =
@@ -881,8 +817,9 @@ type stask = {
   sk_state : state;  (** captured subtree root (splitter's term ctx) *)
   sk_leaf : bool;  (** a completed path: nothing to explore below *)
   sk_cost : int;  (** remaining-work estimate (continuation depth) *)
-  sk_bytes : int;  (** estimated snapshot weight, for the replay gate *)
 }
+
+let prefix_to_string p = String.concat "." (List.map string_of_int p)
 
 (* prefixes longer than this stop being refined: deeper tasks are
    cheap enough that further splitting only adds per-task overhead *)
@@ -897,7 +834,6 @@ let split_frontier (config : config) (ctx : ctx) (st0 : state) :
       sk_state = st;
       sk_leaf = leaf;
       sk_cost = List.length st.work;
-      sk_bytes = state_term_bytes st;
     }
   in
   let n0 = List.length st0.path_cond in
@@ -971,7 +907,7 @@ let split_frontier (config : config) (ctx : ctx) (st0 : state) :
   done;
   (seng, !tasks)
 
-let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
+let run_frontier (config : config) (ctx : ctx) (st0 : state) : result =
   let reg = ctx.obs in
   let snap0 = Obs.Registry.snapshot reg in
   let t_start = Obs.Clock.now () in
@@ -1116,63 +1052,33 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
              ]
            "subtree"
            (fun () ->
-             (* start the task from a snapshot when its term weight
-                allows, from a prefix replay into a fresh instance
-                otherwise.  The choice is a pure function of the task,
-                so it cannot differ across worker counts. *)
-             let tctx, base, st =
-               if task.sk_bytes <= config.snapshot_max_bytes then begin
-                 Obs.Counter.incr
-                   (Obs.Registry.counter treg "explore.snapshot_restores");
-                 Obs.Gauge.set_max
-                   (Obs.Registry.gauge treg "explore.snapshot_bytes")
-                   task.sk_bytes;
-                 let tm_restore =
-                   Obs.Registry.timer treg "explore.t_snapshot_restore"
-                 in
-                 let t0 = Obs.Clock.now () in
-                 Obs.Span.with_ wreg "snapshot_restore" (fun () ->
-                     (* import the captured root into a private clone of
-                        the splitter's term context, then warm-clone the
-                        splitter's solver: imported terms keep their
-                        tags, so the cloned blaster's caches — and the
-                        cloned CDCL core's learnt clauses — apply
-                        as-is *)
-                     let ectx = Expr.clone_ctx ctx.ectx in
-                     let imp = Expr.importer ectx in
-                     let tctx =
-                       clone_ctx_for_task ctx ~ectx ~obs:treg
-                         ~rng:(Random.State.make [| ctx.opts.seed |])
-                     in
-                     let st = map_terms imp task.sk_state in
-                     let base = List.map imp (conds_since n0 task.sk_state) in
-                     let solver = Solver.clone ~obs:treg ~ectx parent_solver in
-                     List.iter (Solver.assert_ solver) base;
-                     let probe = Solver.clone ~obs:treg ~ectx parent_probe in
-                     List.iter (Solver.assert_ probe) base;
-                     Obs.Timer.add tm_restore (Obs.Clock.now () -. t0);
-                     (tctx, `Warm (solver, probe, base), st))
-               end
-               else begin
-                 Obs.Counter.incr
-                   (Obs.Registry.counter treg "explore.replay_fallbacks");
-                 let tm_replay = Obs.Registry.timer treg "explore.t_replay" in
-                 let tcells = make_cells treg in
-                 let c_rsteps =
-                   Obs.Registry.counter treg "explore.replay_steps"
-                 in
-                 let t0 = Obs.Clock.now () in
-                 Obs.Span.with_ wreg "replay" (fun () ->
-                     let tctx, tst0 = fresh treg in
-                     let acc = ref [] in
-                     let st =
-                       replay tctx tcells c_rsteps
-                         ~assert_cond:(fun c -> acc := c :: !acc)
-                         task.sk_prefix tst0
-                     in
-                     Obs.Timer.add tm_replay (Obs.Clock.now () -. t0);
-                     (tctx, `Cold (List.rev !acc), st))
-               end
+             (* import the captured root into a private clone of the
+                splitter's term context, then warm-clone the splitter's
+                solver: imported terms keep their tags, so the cloned
+                blaster's caches — and the cloned CDCL core's learnt
+                clauses — apply as-is *)
+             let tctx, solver, probe, base, st =
+               Obs.Counter.incr
+                 (Obs.Registry.counter treg "explore.snapshot_restores");
+               let tm_restore =
+                 Obs.Registry.timer treg "explore.t_snapshot_restore"
+               in
+               let t0 = Obs.Clock.now () in
+               Obs.Span.with_ wreg "snapshot_restore" (fun () ->
+                   let ectx = Expr.clone_ctx ctx.ectx in
+                   let imp = Expr.importer ectx in
+                   let tctx =
+                     clone_ctx_for_task ctx ~ectx ~obs:treg
+                       ~rng:(Random.State.make [| ctx.opts.seed |])
+                   in
+                   let st = map_terms imp task.sk_state in
+                   let base = List.map imp (conds_since n0 task.sk_state) in
+                   let solver = Solver.clone ~obs:treg ~ectx parent_solver in
+                   List.iter (Solver.assert_ solver) base;
+                   let probe = Solver.clone ~obs:treg ~ectx parent_probe in
+                   List.iter (Solver.assert_ probe) base;
+                   Obs.Timer.add tm_restore (Obs.Clock.now () -. t0);
+                   (tctx, solver, probe, base, st))
              in
              (* the abort hook closes over the engine to read its
                 emission count, so tie the knot through a cell *)
@@ -1205,13 +1111,8 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
                | None -> None
              in
              let eng =
-               match base with
-               | `Warm (solver, probe, base) ->
-                   make_engine ~base ~solver ~probe ?qc ~count_tests:false
-                     ~extra_check tctx config
-               | `Cold base ->
-                   make_engine ~base ?qc ~count_tests:false ~extra_check tctx
-                     config
+               make_engine ~base ~solver ~probe ?qc ~count_tests:false
+                 ~extra_check tctx config
              in
              eng_cell := Some eng;
              (* seed the model cache: the splitter proved the prefix
@@ -1219,10 +1120,10 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
                 gives the probe a model that satisfies the base — a
                 warm clone's inherited model need not *)
              (match base with
-             | `Warm (_, _, []) | `Cold [] -> ()
-             | _ ->
+             | [] -> ()
+             | _ -> (
                  ignore (Solver.check !(eng.e_probe));
-                 (match eng.e_qc with
+                 match eng.e_qc with
                  | Some q ->
                      Smt.Qcache.note_model q (Solver.capture_model !(eng.e_probe))
                  | None -> ()));
@@ -1365,50 +1266,24 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
 (* ------------------------------------------------------------------ *)
 (* Driver dispatch *)
 
-let run ?(config = default_config) ?fresh (ctx : ctx) (st0 : state) : result =
-  match fresh with
-  | Some fresh when config.path_jobs >= 1 -> run_frontier ~fresh config ctx st0
-  | _ ->
-      if config.path_jobs >= 1 then
-        Logs.warn (fun m ->
-            m
-              "path_jobs=%d ignored: caller provided no fresh-instance hook; \
-               falling back to the sequential driver"
-              config.path_jobs);
-      run_seq config ctx st0
+(* [fresh] is accepted and ignored: frontier tasks start from state
+   snapshots and need no fresh-instance hook, but existing callers
+   still pass one. *)
+let run ?(config = default_config)
+    ?fresh:(_ : (Obs.Registry.t -> ctx * state) option) (ctx : ctx)
+    (st0 : state) : result =
+  if config.path_jobs >= 1 then run_frontier config ctx st0
+  else run_seq config ctx st0
 
 (* ------------------------------------------------------------------ *)
-(* Test hooks: white-box access to the splitter and the replay, so the
-   suite can check that a replayed prefix reaches the frontier state
-   the splitter saw. *)
+(* Test hook: the frontier the adaptive splitter would hand to
+   workers — every task's prefix, paired with its captured state (the
+   subtree root, or the leaf of a completed shallow path).  States live
+   in [ctx]'s term context. *)
 
-(* a structural digest of an execution state, strong enough to
-   distinguish different program points and path conditions *)
-let fingerprint (st : state) =
-  Printf.sprintf
-    "trace=[%s] cov=[%s] pc=%d work=%d outs=%d entries=%d dropped=%b phase=%s"
-    (String.concat ">" (List.rev st.trace))
-    (String.concat "," (List.map string_of_int (IntSet.elements st.covered)))
-    (List.length st.path_cond) (List.length st.work) (List.length st.outputs)
-    (List.length st.entries) st.dropped st.phase
-
-(* the frontier the adaptive splitter would hand to workers: every
-   task's prefix, paired with the subtree root's fingerprint (None for
-   completed shallow paths, whose task state is the leaf, not the
-   replay target) *)
 let frontier ?(config = default_config) (ctx : ctx) (st0 : state) :
-    (int list * string option) list =
+    (int list * state) list =
   let eng, tasks = split_frontier config ctx st0 in
   Solver.flush_stats !(eng.e_solver);
   Solver.flush_stats !(eng.e_probe);
-  List.map
-    (fun t ->
-      (t.sk_prefix, if t.sk_leaf then None else Some (fingerprint t.sk_state)))
-    tasks
-
-(* solver-free prefix replay (path conditions are recorded in the
-   state but not asserted anywhere) *)
-let replay_prefix (ctx : ctx) (st0 : state) (prefix : int list) : state =
-  let cells = make_cells ctx.obs in
-  let c_rsteps = Obs.Registry.counter ctx.obs "explore.replay_steps" in
-  replay ctx cells c_rsteps ~assert_cond:(fun _ -> ()) prefix st0
+  List.map (fun t -> (t.sk_prefix, t.sk_state)) tasks

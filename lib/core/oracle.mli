@@ -109,25 +109,11 @@ val registry : run -> Obs.Registry.t
 val fresh_instance :
   prepared -> Obs.Registry.t -> Runtime.ctx * Runtime.state
 (** [fresh_instance p reg] builds an independent replica of the
-    prepared run for a worker domain: a fresh term context reporting
-    into [reg], over the same already-passed program, re-initialised
-    by the same target.  Preparation is deterministic, so the replica's
-    initial state is structurally identical to [initial_state p] —
-    the soundness basis of {!Explore.run}'s prefix replay.  The
-    frontier driver starts subtree tasks from state snapshots and uses
-    this replica only as the replay fallback for tasks above
-    [config.Explore.snapshot_max_bytes]. *)
-
-val instantiate :
-  ?opts:Runtime.options ->
-  ?obs:Obs.Registry.t ->
-  prepared ->
-  Runtime.ctx * Runtime.state
-(** A request-scoped replica over the cached front-end work: like
-    {!fresh_instance}, but with caller-chosen options and registry.  A
-    cached [prepared] value serves requests with any seed, strategy or
-    budget — the mid-end artifacts do not depend on them (see
-    {!fingerprint}).  Safe to call concurrently from several domains
+    prepared run: a fresh term context reporting into [reg], over the
+    same already-passed program, re-initialised by the same target
+    with [p]'s options.  Preparation is deterministic, so the
+    replica's initial state is structurally identical to
+    [initial_state p].  Safe to call concurrently from several domains
     on the same [prepared]: only immutable preparation data is read. *)
 
 val generate :
@@ -138,9 +124,8 @@ val generate :
   run
 (** End-to-end test generation for a P4 source string.  When
     [config.Explore.path_jobs >= 1], path exploration itself runs on
-    worker domains ({!Explore.run}'s frontier driver, seeded with
-    {!fresh_instance}); the result is bit-identical for every
-    [path_jobs] value [>= 1]. *)
+    worker domains ({!Explore.run}'s frontier driver); the result is
+    bit-identical for every [path_jobs] value [>= 1]. *)
 
 val explore_prepared :
   ?opts:Runtime.options ->
@@ -149,7 +134,10 @@ val explore_prepared :
   prepared ->
   run
 (** {!generate} minus phase 1 — the warm path of the prepared-oracle
-    cache.  Explores a fresh {!instantiate}d replica, so the test set
+    cache.  Explores a fresh replica built with [opts] (a cached
+    [prepared] value serves requests with any seed, strategy or
+    budget — the mid-end artifacts do not depend on them, see
+    {!fingerprint}), so the test set
     is bit-identical to a single-shot {!generate} of the same source
     with the same options, and several requests can explore the same
     [prepared] concurrently.  The returned run's [prep_time] is [0.]:

@@ -736,18 +736,6 @@ let map_terms f st =
 
 let iter_terms f st = ignore (map_terms (fun e -> f e; e) st)
 
-(* Rough in-heap size of the terms a state pins, for deciding whether
-   a snapshot is cheaper than a replay.  [Obj.reachable_words] is
-   useless here — every term physically embeds its context, whose
-   arena holds every term of the run — so we sum per-term DAG node
-   counts instead (shared structure across fields double-counts,
-   which errs toward replay; ~80 bytes is a term record plus its
-   arena bucket share). *)
-let state_term_bytes st =
-  let n = ref 0 in
-  iter_terms (fun e -> n := !n + Expr.size e) st;
-  80 * !n
-
 (* A context for a forked subtree task: shares the immutable
    program-wide data, takes the fork's own term context / metrics
    registry / rng.  Hooks are target-installed functions on the

@@ -182,8 +182,5 @@ val eval : ?taint:(int -> int -> Bitv.Bits.t) -> (var -> Bitv.Bits.t) -> t -> Bi
 val subst : (var -> t option) -> t -> t
 (** Capture-free substitution of variables. *)
 
-val size : t -> int
-(** Number of distinct subterms (DAG size). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -285,9 +285,10 @@ let model_lits m ls =
   !v
 
 (* The width guards matter for models consulted across term contexts
-   (a cold-replay task evaluating a splitter-captured model): a name
-   or id can denote a different-width symbol there, and the assignment
-   must stay total — mismatches read as zero like unblasted symbols. *)
+   (a frontier task's cloned query cache holds models captured in the
+   splitter's context): should a name or id denote a different-width
+   symbol there, the assignment must stay total — mismatches read as
+   zero like unblasted symbols. *)
 let frozen_eval m e =
   Expr.eval
     ~taint:(fun id w ->

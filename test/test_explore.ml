@@ -250,56 +250,31 @@ let test_frontier_matches_sequential () =
   Alcotest.(check bool) "same coverage" true
     (Runtime.IntSet.equal seq.Oracle.result.Explore.covered
        par.Oracle.result.Explore.covered);
-  (* and the frontier actually split — with every task started from a
-     state snapshot, not a prefix replay *)
+  (* and the frontier actually split, every task started from a state
+     snapshot *)
   let d = par.Oracle.result.Explore.obs in
   Alcotest.(check bool) "subtrees packaged" true
     (Obs.Snapshot.get_int d "explore.subtrees" > 1);
   Alcotest.(check bool) "snapshots restored" true
-    (Obs.Snapshot.get_int d "explore.snapshot_restores" > 1);
-  Alcotest.(check int) "no prefix replays" 0
-    (Obs.Snapshot.get_int d "explore.replay_steps")
+    (Obs.Snapshot.get_int d "explore.snapshot_restores" > 1)
 
-let test_replay_fallback_equivalent () =
-  (* forcing every task over the snapshot size threshold exercises the
-     replay fallback: still deterministic across worker counts, same
-     path space and coverage as the snapshot path *)
-  let cfg pj =
-    {
-      Explore.default_config with
-      Explore.path_jobs = pj;
-      split_tasks = 6;
-      snapshot_max_bytes = 0;
-    }
+let test_run_frontier_without_hook () =
+  (* [Explore.run] needs nothing beyond the prepared context to run the
+     frontier driver: called directly, with no fresh-instance hook, it
+     splits and emits the same suite as [Oracle.generate] does at
+     path_jobs = 1 *)
+  let src = Progzoo.Corpus.lpm_router in
+  let p = Oracle.prepare v1model src in
+  let config = { Explore.default_config with Explore.path_jobs = 2 } in
+  let r = Explore.run ~config p.Oracle.ctx (Oracle.initial_state p) in
+  Alcotest.(check bool) "subtrees packaged" true
+    (Obs.Snapshot.get_int r.Explore.obs "explore.subtrees" > 1);
+  let ref_ =
+    generate ~config:{ Explore.default_config with Explore.path_jobs = 1 } src
   in
-  let r1 = generate ~config:(cfg 1) Progzoo.Corpus.lpm_router in
-  let r4 = generate ~config:(cfg 4) Progzoo.Corpus.lpm_router in
-  Alcotest.(check (list string)) "replay fallback bit-deterministic"
-    (List.map Testspec.to_string r1.Oracle.result.Explore.tests)
-    (List.map Testspec.to_string r4.Oracle.result.Explore.tests);
-  Alcotest.(check (list (pair string int)))
-    "replay fallback counters identical" (sched_free_counters r1)
-    (sched_free_counters r4);
-  (* same path space as the snapshot-restore configuration *)
-  let snap =
-    generate
-      ~config:{ Explore.default_config with Explore.path_jobs = 2; split_tasks = 6 }
-      Progzoo.Corpus.lpm_router
-  in
-  Alcotest.(check int) "same path count as snapshot mode"
-    snap.Oracle.result.Explore.stats.Explore.paths
-    r4.Oracle.result.Explore.stats.Explore.paths;
-  Alcotest.(check bool) "same coverage as snapshot mode" true
-    (Runtime.IntSet.equal snap.Oracle.result.Explore.covered
-       r4.Oracle.result.Explore.covered);
-  (* and the fallback really was taken *)
-  let d = r4.Oracle.result.Explore.obs in
-  Alcotest.(check int) "no snapshot restores" 0
-    (Obs.Snapshot.get_int d "explore.snapshot_restores");
-  Alcotest.(check bool) "replay fallbacks taken" true
-    (Obs.Snapshot.get_int d "explore.replay_fallbacks" > 1);
-  Alcotest.(check bool) "replay steps recorded" true
-    (Obs.Snapshot.get_int d "explore.replay_steps" > 0)
+  Alcotest.(check (list string)) "same suite as generate at path_jobs = 1"
+    (List.map Testspec.to_string ref_.Oracle.result.Explore.tests)
+    (List.map Testspec.to_string r.Explore.tests)
 
 let test_path_jobs_caps () =
   (* budget caps are exact under the deterministic merge, and capped
@@ -334,32 +309,6 @@ let test_path_jobs_caps () =
   Alcotest.(check (list (pair string int)))
     "capped counters identical across path_jobs" (sched_free_counters r1)
     (sched_free_counters r4)
-
-let test_replay_reaches_frontier_state () =
-  (* the replay-correctness unit test: for every subtree the splitter
-     would hand to a worker, replaying its prefix into a *fresh*
-     prepared instance reaches a state with the same fingerprint as
-     the frontier node the splitter saw *)
-  let src = Progzoo.Corpus.lpm_router in
-  let config = { Explore.default_config with Explore.split_tasks = 6 } in
-  let p = Oracle.prepare v1model src in
-  let fr = Explore.frontier ~config p.Oracle.ctx (Oracle.initial_state p) in
-  Alcotest.(check bool) "splitter found subtrees" true (List.length fr > 1);
-  let deep = List.filter (fun (_, fp) -> fp <> None) fr in
-  Alcotest.(check bool) "some subtrees are below forks" true (deep <> []);
-  List.iteri
-    (fun k (prefix, fp) ->
-      (* a fresh instance per replay: replay consumes ctx-local state
-         (fresh-name counters), exactly as a worker domain would *)
-      if k < 6 then
-        let reg = Obs.Registry.create () in
-        let ctx, st0 = Oracle.fresh_instance p reg in
-        let st = Explore.replay_prefix ctx st0 prefix in
-        Alcotest.(check string)
-          (Printf.sprintf "prefix [%s] replays to the frontier state"
-             (String.concat "." (List.map string_of_int prefix)))
-          (Option.get fp) (Explore.fingerprint st))
-    deep
 
 (* ------------------------------------------------------------------ *)
 (* Multi-packet test sequences (stateful externs across packets, §5) *)
@@ -445,11 +394,9 @@ let () =
             test_path_jobs_deterministic;
           Alcotest.test_case "frontier matches sequential" `Quick
             test_frontier_matches_sequential;
-          Alcotest.test_case "replay fallback equivalent" `Quick
-            test_replay_fallback_equivalent;
+          Alcotest.test_case "run without fresh hook" `Quick
+            test_run_frontier_without_hook;
           Alcotest.test_case "budget caps exact" `Quick test_path_jobs_caps;
-          Alcotest.test_case "prefix replay reaches frontier state" `Quick
-            test_replay_reaches_frontier_state;
         ] );
       ( "sequences",
         [
