@@ -20,9 +20,10 @@ let table =
        BENCH_pr3.json values no longer compare (the file stays as a
        historical record) *)
     { gate = Smoke; name = "smoke";
-      runs = "fig1a, fig1b, register_seq2 at path-jobs 1 (gated) and 4 (recorded)";
+      runs = "fig1a, fig1b, register_seq2 at path-jobs 1 (gated) and 4 (recorded), \
+              then at path-jobs 0 for allocation";
       bound = "vs BENCH_pr9_pj1, per driver and total: wall-clock <= +10% or <= +50ms; \
-               solver.checks <= x1.02" };
+               solver.checks <= x1.02; pj0 minor words <= x1.02 vs inline baseline" };
     (* parallel exploration must pay for itself: a scaling run on the
        branchy driver (CI runners have >= 2 cores, so the frontier
        driver actually fans out there, unlike on a 1-core box); pj4 is
@@ -99,6 +100,14 @@ let qcache_baseline =
     { driver = "register_seq2"; time = 0.002172; checks = 4 };
   ]
 
+(* minor words allocated by one path-jobs-0 run of each smoke driver,
+   measured by `bench check smoke` in dune's default (dev) profile.
+   Gc.minor_words counts the calling domain only, so only the
+   sequential driver measures a whole run; there the count is exact
+   and repeats to the word, so it gates like solver.checks *)
+let alloc_baseline =
+  [ ("fig1a", 123442.0); ("fig1b", 190256.0); ("register_seq2", 165727.0) ]
+
 let regression_pct = 10.0
 
 (* solver.checks is deterministic per driver, so any increase past
@@ -150,6 +159,18 @@ let vs_baseline ~noise_s baseline runs =
 (* Verdicts, one per gate *)
 
 let smoke runs = vs_baseline ~noise_s:0.05 smoke_baseline runs
+
+let alloc_slack = 1.02
+
+(* [words]: (driver, minor words) of the path-jobs-0 runs *)
+let allocation words =
+  let bound = Printf.sprintf "pj0 minor words <= base x%.2f" alloc_slack in
+  List.map
+    (fun (driver, base) ->
+      match List.assoc_opt driver words with
+      | None -> line driver bound false "missing"
+      | Some w -> line driver bound (w <= base *. alloc_slack) "%.0f -> %.0f" base w)
+    alloc_baseline
 
 let min_work_s = 0.2 (* below this pj1 time the run is fixed cost, not scaling *)
 

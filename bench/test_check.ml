@@ -59,6 +59,21 @@ let test_missing_driver () =
   check_fails "no runs at all" [ "fig1a"; "fig1b"; "register_seq2" ] (smoke [])
 
 (* ------------------------------------------------------------------ *)
+(* Allocation (smoke, path-jobs 0) *)
+
+let test_allocation () =
+  let scaled k = List.map (fun (d, w) -> (d, w *. k)) alloc_baseline in
+  check_fails "baseline words pass" [] (allocation alloc_baseline);
+  check_fails "x1.02 passes" [] (allocation (scaled 1.02));
+  check_fails "x1.03 fails" [ "fig1a"; "fig1b"; "register_seq2" ] (allocation (scaled 1.03));
+  check_fails "fewer words pass" [] (allocation (scaled 0.5));
+  check_fails "one driver over fails" [ "fig1b" ]
+    (allocation
+       (List.map (fun (d, w) -> (d, if d = "fig1b" then w +. 0.03 *. w else w)) alloc_baseline));
+  check_fails "missing driver fails" [ "register_seq2" ]
+    (allocation (List.remove_assoc "register_seq2" alloc_baseline))
+
+(* ------------------------------------------------------------------ *)
 (* Scaling *)
 
 let test_scaling () =
@@ -140,6 +155,7 @@ let () =
           Alcotest.test_case "wall-clock per driver" `Quick test_wall_clock;
           Alcotest.test_case "wall-clock total" `Quick test_wall_clock_total;
           Alcotest.test_case "missing driver" `Quick test_missing_driver;
+          Alcotest.test_case "allocation" `Quick test_allocation;
         ] );
       ( "gates",
         [

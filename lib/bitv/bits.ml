@@ -41,10 +41,16 @@ let set_bit data i b =
   let byte = if b then byte lor mask else byte land lnot mask in
   Bytes.set data (i lsr 3) (Char.chr byte)
 
+(* one pass, one byte written per 8 bits *)
 let init w f =
+  if w < 0 then invalid_arg "Bits.init: negative width";
   let v = make w in
-  for i = 0 to w - 1 do
-    if f i then set_bit v.data i true
+  for j = 0 to Bytes.length v.data - 1 do
+    let b = ref 0 in
+    for k = 0 to min 7 (w - (8 * j) - 1) do
+      if f ((8 * j) + k) then b := !b lor (1 lsl k)
+    done;
+    Bytes.set v.data j (Char.chr !b)
   done;
   v
 
@@ -143,21 +149,63 @@ let popcount v =
   done;
   !c
 
-let is_ones v = popcount v = v.width
+(* whole bytes: every full byte is 0xff and the last partial byte
+   holds exactly its [width mod 8] low ones *)
+let is_ones v =
+  let n = nbytes v.width in
+  let full = v.width lsr 3 in
+  let rec go i = i >= full || (Bytes.get v.data i = '\255' && go (i + 1)) in
+  go 0 && (full = n || Char.code (Bytes.get v.data full) = (1 lsl (v.width land 7)) - 1)
+
 let msb v = v.width > 0 && get v (v.width - 1)
 
+(* The 8 bits of [v] from bit [off < width] up, as an int; bits at or
+   past [width] read as zero (canonical form). *)
+let byte_at v off =
+  let i = off lsr 3 and s = off land 7 in
+  let lo = Char.code (Bytes.get v.data i) lsr s in
+  if s = 0 || i + 1 >= Bytes.length v.data then lo
+  else (lo lor (Char.code (Bytes.get v.data (i + 1)) lsl (8 - s))) land 0xff
+
+(* [concat], [slice] and [zext] move whole bytes: a plain blit when the
+   bit offset is a multiple of 8, a shift of two source bytes per
+   result byte otherwise. *)
 let concat hi lo =
-  let w = hi.width + lo.width in
-  init w (fun i -> if i < lo.width then get lo i else get hi (i - lo.width))
+  let v = make (hi.width + lo.width) in
+  Bytes.blit lo.data 0 v.data 0 (Bytes.length lo.data);
+  let q = lo.width lsr 3 and s = lo.width land 7 in
+  if s = 0 then Bytes.blit hi.data 0 v.data q (Bytes.length hi.data)
+  else begin
+    (* lo's last byte is partial: hi's byte j straddles result bytes
+       q+j and q+j+1; canonical zero padding keeps the ORs exact *)
+    let n = Bytes.length v.data in
+    Bytes.iteri
+      (fun j c ->
+        let b = Char.code c lsl s in
+        let k = q + j in
+        Bytes.set v.data k (Char.chr (Char.code (Bytes.get v.data k) lor (b land 0xff)));
+        if k + 1 < n then Bytes.set v.data (k + 1) (Char.chr (b lsr 8)))
+      hi.data
+  end;
+  v
 
 let slice v ~hi ~lo =
   if lo < 0 || hi < lo || hi >= v.width then
     invalid_arg "Bits.slice: bounds out of range";
-  init (hi - lo + 1) (fun i -> get v (lo + i))
+  let w = hi - lo + 1 in
+  if lo land 7 = 0 then canon { width = w; data = Bytes.sub v.data (lo lsr 3) (nbytes w) }
+  else
+    let r = make w in
+    for j = 0 to Bytes.length r.data - 1 do
+      Bytes.set r.data j (Char.chr (byte_at v (lo + (8 * j))))
+    done;
+    canon r
 
 let zext v w =
   if w < 0 then invalid_arg "Bits.zext: negative width";
-  init w (fun i -> i < v.width && get v i)
+  let r = make w in
+  Bytes.blit v.data 0 r.data 0 (min (Bytes.length v.data) (Bytes.length r.data));
+  canon r
 
 let sext v w =
   if w < 0 then invalid_arg "Bits.sext: negative width";

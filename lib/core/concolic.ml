@@ -17,7 +17,7 @@ open Runtime
 let max_retries = 3
 
 type outcome =
-  | Resolved of (Expr.t -> Bits.t)  (** model evaluator for the final model *)
+  | Resolved of (Expr.t -> Bits.t)  (** memoised evaluator for the final model *)
   | Infeasible
 
 (* evaluate [e] under the solver model extended with already-computed
@@ -65,10 +65,10 @@ let resolve ?(extra = []) (s : Solver.t) (st : state) : outcome =
       | Solver.Unsat -> false
     in
     if calls = [] then begin
-      if extra <> [] && try_with extra then Resolved (Solver.model_eval s)
+      if extra <> [] && try_with extra then Resolved (Solver.model_evaluator s)
       else
         match Solver.check s with
-        | Solver.Sat -> Resolved (Solver.model_eval s)
+        | Solver.Sat -> Resolved (Solver.model_evaluator s)
         | Solver.Unsat -> Infeasible
     end
     else begin
@@ -80,7 +80,7 @@ let resolve ?(extra = []) (s : Solver.t) (st : state) : outcome =
           (* phase 1 model obtained; compute concrete bindings *)
           let arg_eqs, out_eqs = bindings_of s calls in
           if try_with (blocked @ soft @ arg_eqs @ out_eqs) then
-            Resolved (Solver.model_eval s)
+            Resolved (Solver.model_evaluator s)
           else begin
             (* block this argument assignment and retry (§5.4,
                "handling unsatisfiable concolic assignments") *)

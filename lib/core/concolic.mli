@@ -23,7 +23,10 @@ val max_retries : int
 
 type outcome =
   | Resolved of (Smt.Expr.t -> Bitv.Bits.t)
-      (** evaluator over the final model, used to concretize the test *)
+      (** evaluator over the final model, used to concretize the test:
+          one memo shared by every term of the test
+          ({!Smt.Solver.model_evaluator}), valid until the solver's
+          next check *)
   | Infeasible
       (** no consistent concrete binding exists within the retry budget *)
 

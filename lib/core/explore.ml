@@ -126,6 +126,9 @@ type stats = {
   t_step : float;  (** interpretation time *)
   t_emit : float;  (** test-construction time (includes its solver calls) *)
   t_emit_solve : float;  (** solver time spent inside test construction *)
+  t_readout : float;
+      (** model readout inside test construction: turning the solved
+          model into packets, entries and outputs *)
   solver_checks : int;
       (** all solver checks of the run — branch feasibility plus the
           ones issued during test construction *)
@@ -160,6 +163,7 @@ let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
     t_step = f "explore.t_step";
     t_emit = f "explore.t_emit";
     t_emit_solve = f "explore.t_emit_solve";
+    t_readout = f "explore.t_readout";
     solver_checks = i "solver.checks";
   }
 
@@ -282,11 +286,14 @@ let dedup_reg_inits (ris : Testspec.register_init list) =
   in
   List.rev keep
 
-let build_test ctx solver (st : state) : Testspec.t option =
+(* [readout] times the model readout: everything after the final
+   check that turns the model into packets, entries and outputs *)
+let build_test ~readout ctx solver (st : state) : Testspec.t option =
   randomize_free_inputs ctx solver st;
   match Concolic.resolve solver st with
   | Concolic.Infeasible -> None
   | Concolic.Resolved model ->
+      Obs.Timer.time readout @@ fun () ->
       let taint_of e =
         let m = Expr.taint_mask e in
         if st.ctrl_taint then Bits.ones (Bits.width m) else m
@@ -294,12 +301,11 @@ let build_test ctx solver (st : state) : Testspec.t option =
       (* one injection step per packet of the sequence: the archived
          ones plus the packet still live in [st] *)
       let inject (pd : pkt_record) =
+        (* [pd_chunks] is newest first: the oldest chunk leads the packet *)
         let data =
-          List.fold_left
-            (fun acc c -> Expr.concat c acc)
-            (empty_bits ctx.ectx) pd.pd_chunks
+          List.fold_left (fun acc c -> Bits.concat (model c) acc) (Bits.zero 0) pd.pd_chunks
         in
-        let input = Testspec.packet ~port:(model pd.pd_in_port) (model data) in
+        let input = Testspec.packet ~port:(model pd.pd_in_port) data in
         let outputs =
           if pd.pd_dropped then []
           else
@@ -328,10 +334,10 @@ let build_test ctx solver (st : state) : Testspec.t option =
       let comment = String.concat " > " (List.rev st.trace) in
       (* [current :: seq_done] is newest first; rev_map restores
          injection order *)
-      (match List.rev_map inject (current :: st.seq_done) with
+      match List.rev_map inject (current :: st.seq_done) with
       | [ Testspec.SInject { input; outputs } ] ->
           Some (Testspec.make ~input ~outputs ~entries ~registers ~covered ~comment)
-      | steps -> Some (Testspec.make_seq ~steps ~entries ~registers ~covered ~comment))
+      | steps -> Some (Testspec.make_seq ~steps ~entries ~registers ~covered ~comment)
 
 (* a test is flaky if any packet's fate or destination is tainted *)
 let port_tainted st =
@@ -372,6 +378,7 @@ type cells = {
   tm_step : Obs.Timer.t;
   tm_emit : Obs.Timer.t;
   tm_emit_solve : Obs.Timer.t;
+  tm_readout : Obs.Timer.t;
   tm_solve : Obs.Timer.t;
 }
 
@@ -389,6 +396,7 @@ let make_cells reg =
     tm_step = Obs.Registry.timer reg "explore.t_step";
     tm_emit = Obs.Registry.timer reg "explore.t_emit";
     tm_emit_solve = Obs.Registry.timer reg "explore.t_emit_solve";
+    tm_readout = Obs.Registry.timer reg "explore.t_readout";
     (* solver time lives in the registry and therefore accumulates
        across solver rebuilds (every solver of a run shares it) *)
     tm_solve = Obs.Registry.timer reg "solver.time";
@@ -538,7 +546,7 @@ let finish eng st =
       let solve0 = Obs.Timer.value eng.e_cells.tm_solve in
       (if port_tainted st then Obs.Counter.incr eng.e_cells.c_disc_taint
        else
-         match build_test eng.e_ctx !(eng.e_solver) st with
+         match build_test ~readout:eng.e_cells.tm_readout eng.e_ctx !(eng.e_solver) st with
          | None -> Obs.Counter.incr eng.e_cells.c_disc_concolic
          | Some t ->
              (* the emission model satisfies the whole path — a

@@ -671,7 +671,7 @@ let digest e =
   in
   go e
 
-let eval ?(taint = fun _ w -> Bits.zero w) env e =
+let evaluator ?(taint = fun _ w -> Bits.zero w) env =
   let memo = Hashtbl.create 64 in
   let rec go e =
     match Hashtbl.find_opt memo e.tag with
@@ -714,7 +714,9 @@ let eval ?(taint = fun _ w -> Bits.zero w) env e =
     | Lshr (a, b) -> Bits.shift_right (go a) (shift_amount b)
     | Ashr (a, b) -> Bits.shift_right_arith (go a) (shift_amount b)
   in
-  go e
+  go
+
+let eval ?taint env e = evaluator ?taint env e
 
 let subst f e =
   let memo = Hashtbl.create 64 in

@@ -179,6 +179,14 @@ val eval : ?taint:(int -> int -> Bitv.Bits.t) -> (var -> Bitv.Bits.t) -> t -> Bi
 (** Concrete evaluation.  [taint id width] supplies values for taint
     nodes (defaults to zero). *)
 
+val evaluator :
+  ?taint:(int -> int -> Bitv.Bits.t) -> (var -> Bitv.Bits.t) -> t -> Bitv.Bits.t
+(** [evaluator ?taint env] is {!eval} with one memo shared by every
+    term it is applied to: a subterm, variable or taint node met again
+    in a later term is not re-evaluated, and [env]/[taint] are called
+    at most once per symbol.  Apply it only to terms of one context,
+    under an [env] that does not change meanwhile. *)
+
 val subst : (var -> t option) -> t -> t
 (** Capture-free substitution of variables. *)
 

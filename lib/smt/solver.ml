@@ -194,39 +194,26 @@ let suggest s e (b : Bits.t) =
       else Sat.set_polarity s.sat (l lsr 1) (not (Bits.get b i)))
     ls
 
-(* literal value under the snapshot: 1 true, 2 false, 0 unassigned *)
-let snap_raw s l =
+(* literal value under a model snapshot: 1 true, 2 false, 0 unassigned
+   (also for variables created after the snapshot) *)
+let lit_raw snap l =
   let v = l lsr 1 in
-  let a = if v < Array.length s.model_snap then s.model_snap.(v) else 0 in
+  let a = if v < Array.length snap then snap.(v) else 0 in
   if a = 0 then 0 else if l land 1 = 0 then a else 3 - a
 
-let snap_lit s l = snap_raw s l = 1
-
-let bits_of_lits s ls =
-  let w = Array.length ls in
-  let v = ref (Bits.zero w) in
-  for i = 0 to w - 1 do
-    if snap_lit s ls.(i) then
-      v := Bits.logor !v (Bits.shift_left (Bits.of_int ~width:w 1) i)
-  done;
-  !v
+(* Readout builds each value in one pass over its literals;
+   unassigned bits read as zero. *)
+let bits_of_lits snap ls = Bits.init (Array.length ls) (fun i -> lit_raw snap ls.(i) = 1)
 
 (* like [bits_of_lits] but bits the model leaves unassigned (the SAT
    core only decides constrained variables) fall back to a suggested
    value — any value is a sound extension for an unconstrained bit *)
 let bits_of_lits_with_default s ls (default : Bits.t option) =
-  let w = Array.length ls in
-  let v = ref (Bits.zero w) in
-  for i = 0 to w - 1 do
-    let bit =
-      match snap_raw s ls.(i) with
+  Bits.init (Array.length ls) (fun i ->
+      match lit_raw s.model_snap ls.(i) with
       | 1 -> true
       | 2 -> false
-      | _ -> ( match default with Some d -> Bits.get d i | None -> false)
-    in
-    if bit then v := Bits.logor !v (Bits.shift_left (Bits.of_int ~width:w 1) i)
-  done;
-  !v
+      | _ -> ( match default with Some d -> Bits.get d i | None -> false))
 
 let model_var s (v : Expr.var) =
   let default = Hashtbl.find_opt s.suggestions v.Expr.vid in
@@ -236,11 +223,13 @@ let model_var s (v : Expr.var) =
 
 let model_taint s id width =
   match Blast.taint_bits s.blast id with
-  | Some ls -> bits_of_lits s ls
+  | Some ls -> bits_of_lits s.model_snap ls
   | None -> Bits.zero width
 
-let model_eval s e =
-  Expr.eval ~taint:(fun id w -> model_taint s id w) (fun v -> model_var s v) e
+let model_evaluator s =
+  Expr.evaluator ~taint:(fun id w -> model_taint s id w) (fun v -> model_var s v)
+
+let model_eval s e = model_evaluator s e
 
 let size s = Sat.nvars s.sat
 
@@ -270,20 +259,6 @@ let capture_model s =
   if Array.length s.model_snap = 0 then None
   else Some { m_snap = Array.copy s.model_snap; m_blast = s.blast }
 
-let model_snap_lit m l =
-  let v = l lsr 1 in
-  let a = if v < Array.length m.m_snap then m.m_snap.(v) else 0 in
-  (if l land 1 = 0 then a else match a with 0 -> 0 | x -> 3 - x) = 1
-
-let model_lits m ls =
-  let w = Array.length ls in
-  let v = ref (Bits.zero w) in
-  for i = 0 to w - 1 do
-    if model_snap_lit m ls.(i) then
-      v := Bits.logor !v (Bits.shift_left (Bits.of_int ~width:w 1) i)
-  done;
-  !v
-
 (* The width guards matter for models consulted across term contexts
    (a frontier task's cloned query cache holds models captured in the
    splitter's context): should a name or id denote a different-width
@@ -293,11 +268,11 @@ let frozen_eval m e =
   Expr.eval
     ~taint:(fun id w ->
       match Blast.taint_bits m.m_blast id with
-      | Some ls when Array.length ls = w -> model_lits m ls
+      | Some ls when Array.length ls = w -> bits_of_lits m.m_snap ls
       | Some _ | None -> Bits.zero w)
     (fun v ->
       match Blast.var_bits m.m_blast v with
-      | Some ls when Array.length ls = v.Expr.vwidth -> model_lits m ls
+      | Some ls when Array.length ls = v.Expr.vwidth -> bits_of_lits m.m_snap ls
       | Some _ | None -> Bits.zero v.Expr.vwidth)
     e
 

@@ -78,6 +78,12 @@ val model_taint : t -> int -> int -> Bitv.Bits.t
 val model_eval : t -> Expr.t -> Bitv.Bits.t
 (** Evaluates any term under the last model. *)
 
+val model_evaluator : t -> Expr.t -> Bitv.Bits.t
+(** [model_evaluator s] evaluates terms under the last model like
+    {!model_eval}, with one {!Expr.evaluator} memo shared by all the
+    terms it is applied to: each variable is read out of the model
+    once.  Valid until the next check of [s]. *)
+
 val size : t -> int
 (** Number of SAT variables allocated so far (grows monotonically as
     terms are blasted; used to decide when a fresh solver is cheaper
@@ -103,6 +109,9 @@ type model
 
 val capture_model : t -> model option
 (** The last [Sat] assignment, or [None] if no check has succeeded. *)
+
+val frozen_eval : model -> Expr.t -> Bitv.Bits.t
+(** Evaluates any term under the frozen assignment. *)
 
 val model_holds : model -> Expr.t -> bool
 (** [model_holds m e]: the width-1 term [e] evaluates to true under

@@ -157,6 +157,79 @@ let props =
         Bits.ult a b = Bits.ult (Bits.zext a (Bits.width a + 7)) (Bits.zext b (Bits.width b + 7)));
   ]
 
+(* Byte-level construction and structure ops against a bit-by-bit
+   reference built from [get]: widths 0-300, offsets at any bit (most
+   not multiples of 8).  Comparing with [Bits.equal] against a vector
+   rebuilt by [of_bool_list] also checks the zero padding above
+   [width]. *)
+
+let bits_ref v = Array.init (Bits.width v) (Bits.get v)
+
+(* LSB-first bit array -> vector *)
+let of_ref a = Bits.of_bool_list (List.rev (Array.to_list a))
+
+let gen_wide_width = QCheck.Gen.int_range 0 300
+
+let gen_wide_of w = QCheck.Gen.(list_repeat w bool >|= Bits.of_bool_list)
+let gen_wide = QCheck.Gen.(gen_wide_width >>= gen_wide_of)
+
+let arb_wide = QCheck.make ~print:Bits.to_string gen_wide
+
+let arb_wide_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Bits.to_string a ^ ", " ^ Bits.to_string b)
+    QCheck.Gen.(pair gen_wide gen_wide)
+
+(* a vector of width >= 1 with [lo <= hi < width] *)
+let arb_slice =
+  QCheck.make
+    ~print:(fun (v, hi, lo) -> Printf.sprintf "%s [%d:%d]" (Bits.to_string v) hi lo)
+    QCheck.Gen.(
+      int_range 1 300 >>= fun w ->
+      gen_wide_of w >>= fun v ->
+      int_range 0 (w - 1) >>= fun lo ->
+      int_range lo (w - 1) >|= fun hi -> (v, hi, lo))
+
+let arb_zext =
+  QCheck.make
+    ~print:(fun (v, w) -> Printf.sprintf "%s to %d" (Bits.to_string v) w)
+    QCheck.Gen.(pair gen_wide gen_wide_width)
+
+(* all ones, all ones but one bit, or random: is_ones must see the
+   one cleared bit wherever it falls *)
+let arb_near_ones =
+  QCheck.make ~print:Bits.to_string
+    QCheck.Gen.(
+      gen_wide_width >>= fun w ->
+      frequency
+        [
+          (1, return (Bits.ones w));
+          ( 2,
+            if w = 0 then return (Bits.zero 0)
+            else
+              int_range 0 (w - 1) >|= fun k ->
+              Bits.init w (fun i -> i <> k) );
+          (1, gen_wide_of w);
+        ])
+
+let byte_props =
+  [
+    prop "init = bit-by-bit" arb_wide (fun v ->
+        let a = bits_ref v in
+        let b = Bits.init (Array.length a) (fun i -> a.(i)) in
+        Bits.equal b (of_ref a) && bits_ref b = a);
+    prop "concat = bit-by-bit" arb_wide_pair (fun (hi, lo) ->
+        Bits.equal (Bits.concat hi lo) (of_ref (Array.append (bits_ref lo) (bits_ref hi))));
+    prop "slice = bit-by-bit" arb_slice (fun (v, hi, lo) ->
+        Bits.equal (Bits.slice v ~hi ~lo) (of_ref (Array.sub (bits_ref v) lo (hi - lo + 1))));
+    prop "zext = bit-by-bit" arb_zext (fun (v, w) ->
+        let a = bits_ref v in
+        Bits.equal (Bits.zext v w)
+          (of_ref (Array.init w (fun i -> i < Array.length a && a.(i)))));
+    prop "is_ones = bit-by-bit" arb_near_ones (fun v ->
+        Bits.is_ones v = Array.for_all Fun.id (bits_ref v));
+  ]
+
 let () =
   Alcotest.run "bits"
     [
@@ -174,4 +247,5 @@ let () =
           Alcotest.test_case "wide" `Quick test_wide;
         ] );
       ("props", props);
+      ("byte ops", byte_props);
     ]

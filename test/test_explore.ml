@@ -365,9 +365,32 @@ let test_single_packet_default_unchanged () =
       Alcotest.(check bool) "not a sequence" false (Testspec.is_sequence t))
     run.Oracle.result.Explore.tests
 
+(* Bit-identity tripwire: MD5 of the [Testspec.to_string] suite at the
+   default seed and config.  Speed work must not change an emitted
+   byte; a change that means to (new semantics, a different solver
+   history) updates these digests deliberately and says why.  Pinned
+   from the bit-by-bit model readout that preceded the word-level
+   one, so they also show the two emit the same suites. *)
+let test_suite_digests () =
+  List.iter
+    (fun (name, src, config, expected) ->
+      let run = generate ~config src in
+      let suite = List.map Testspec.to_string run.Oracle.result.Explore.tests in
+      Alcotest.(check string) name expected
+        (Digest.to_hex (Digest.string (String.concat "\n" suite))))
+    [
+      ("fig1a", Progzoo.Corpus.fig1a, Explore.default_config, "0ba599abfa8dc125dc168eba8a750cc5");
+      ("up4", Progzoo.Generators.up4 (), Explore.default_config, "f5f844ee8d9343ea522c0fd09cba7170");
+      ( "middleblock_2acl (cap 400)",
+        Progzoo.Generators.middleblock ~acl_stages:2 (),
+        { Explore.default_config with Explore.max_tests = Some 400 },
+        "2de783c3de5a61c2b1ddeed51103d430" );
+    ]
+
 let () =
   Alcotest.run "explore"
     [
+      ("tripwire", [ Alcotest.test_case "suite digests pinned" `Quick test_suite_digests ]);
       ( "strategies",
         [
           Alcotest.test_case "dfs exhaustive" `Quick test_dfs_exhaustive;

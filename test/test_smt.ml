@@ -333,6 +333,58 @@ let diff_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Model readout: the shared-memo evaluator and captured models agree
+   with a fresh evaluation per term *)
+
+let arb_terms_env =
+  QCheck.make
+    ~print:(fun (es, (x, y, z)) ->
+      Printf.sprintf "[%s] under x=%s y=%s z=%s"
+        (String.concat "; " (List.map Expr.to_string es))
+        (Bits.to_string x) (Bits.to_string y) (Bits.to_string z))
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 2 6) gen_term)
+        (triple
+           (int_range 0 255 >|= fun n -> Bits.of_int ~width:8 n)
+           (int_range 0 255 >|= fun n -> Bits.of_int ~width:8 n)
+           (int_range 0 255 >|= fun n -> Bits.of_int ~width:8 n)))
+
+let readout_props =
+  [
+    (* only the first term is constrained, so the others read
+       unassigned bits too (zero, or a suggested value for gy) *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150 ~name:"model_evaluator = model_eval per term"
+         arb_terms_env (fun (es, env3) ->
+           let s = Solver.create ctx in
+           let e0 = List.hd es in
+           Solver.assert_ s (Expr.eq e0 (Expr.const ctx (Expr.eval (env_of env3) e0)));
+           let _, yv, _ = env3 in
+           Solver.suggest s (Expr.var ctx "gy" 8) yv;
+           Solver.check s = Solver.Sat
+           &&
+           let ev = Solver.model_evaluator s in
+           List.for_all (fun e -> Bits.equal (ev e) (Solver.model_eval s e)) es));
+    (* every variable pinned, so no bit is left to a default *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150 ~name:"frozen_eval = model_eval when assigned"
+         arb_terms_env (fun (es, (xv, yv, zv)) ->
+           let s = Solver.create ctx in
+           List.iter
+             (fun (n, v) -> Solver.assert_ s (Expr.eq (Expr.var ctx n 8) (Expr.const ctx v)))
+             [ ("gx", xv); ("gy", yv); ("gz", zv) ];
+           Solver.check s = Solver.Sat
+           &&
+           match Solver.capture_model s with
+           | None -> false
+           | Some m ->
+               List.for_all
+                 (fun e -> Bits.equal (Solver.frozen_eval m e) (Solver.model_eval s e))
+                 es));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Asserted terms go straight to the bit-blaster: whatever the smart
    constructors leave open, the SAT core must decide *)
 
@@ -402,4 +454,5 @@ let () =
           Alcotest.test_case "concat match" `Quick test_solver_concat_match;
         ] );
       ("differential", diff_props);
+      ("readout", readout_props);
     ]
